@@ -14,8 +14,9 @@
 //!   --queries LIST      subset of Q1,Q8,Q11,Q13,Q20 (default: all)
 //!   --cap-mb N          DOM memory cap in MB (default 512, the paper's box)
 //!   --max-join-mb N     skip join queries (Q8/Q11) above this size
-//!                       (default 25; the paper's naive nested loops are
-//!                       quadratic — its own Q8\@100M ran for 3.2 hours)
+//!                       (default 25; the DOM baselines keep the paper's
+//!                       naive nested loops, which are quadratic — its own
+//!                       Q8\@100M ran for 3.2 hours)
 //!   --seed N            generator seed (default 42)
 //!   --data-dir PATH     where to cache generated documents
 //!   --weak-dtd          schedule with the order-free DTD (ablation)

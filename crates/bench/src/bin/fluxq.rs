@@ -34,7 +34,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: fluxq --dtd <schema.dtd> (--query <q> | --query-file <f>) [data.xml]\n\
-         \x20      --explain   print the FluX plan and buffer trees, do not run\n\
+         \x20      --explain   print the FluX plan, buffer trees and join strategies, do not run\n\
          \x20      --stats     print run statistics to stderr\n\
          \x20      --dom       evaluate with the DOM baseline (projection on)"
     );
@@ -108,6 +108,13 @@ fn main() {
             println!("buffers (scope variable → buffer tree, • = whole subtree):");
             for (var, tree) in buffers {
                 println!("  ${var}: {tree}");
+            }
+        }
+        let joins = prepared.join_plan();
+        if !joins.is_empty() {
+            println!("\nbuffered conditional loops:");
+            for line in joins {
+                println!("  {line}");
             }
         }
         return;

@@ -60,7 +60,7 @@ pub fn interp_flux(q: &FluxExpr, dtd: &Dtd, doc: &Node) -> Result<String, Interp
 }
 
 fn eval_flux<'t, S: Sink>(
-    q: &FluxExpr,
+    q: &'t FluxExpr,
     dtd: &Dtd,
     env: &mut Env<'t>,
     w: &mut Writer<S>,
@@ -82,7 +82,7 @@ fn eval_flux<'t, S: Sink>(
 
 fn run_ps<'t, S: Sink>(
     var: &str,
-    handlers: &[Handler],
+    handlers: &'t [Handler],
     dtd: &Dtd,
     env: &mut Env<'t>,
     w: &mut Writer<S>,
@@ -126,7 +126,7 @@ fn run_ps<'t, S: Sink>(
             match h {
                 Handler::On { label, var: x, body } => {
                     if **label == *child.name {
-                        env.push(x.clone(), child);
+                        env.push(x, child);
                         let res = eval_flux(body, dtd, env, w);
                         env.pop();
                         res?;

@@ -274,7 +274,7 @@ impl CompiledQuery {
                         "top-level simple expression with free variables {fv:?}"
                     )));
                 }
-                Top::Simple(e.clone())
+                Top::Simple(flux_core::opt::hoist::hoist_ifs(e))
             }
             FluxExpr::PS { pre, var, handlers, post } => {
                 let mut chain = Vec::new();
@@ -355,6 +355,24 @@ impl CompiledQuery {
         ]);
         h.write_u64(self.opts.max_buffer_bytes.map_or(0, |n| n as u64 + 1));
         h.finish()
+    }
+
+    /// How each conditional loop of the plan's buffered subexpressions is
+    /// evaluated — `hash join on …`, `key-column scan on …` or
+    /// `nested loop (reason)` — one line per `for … where`, in plan order
+    /// (see [`flux_query::loop_strategies`]; diagnostics/EXPLAIN).
+    pub fn join_plan(&self) -> Vec<String> {
+        let top = match &self.top {
+            Top::Simple(e) => Some(e),
+            Top::Scope { .. } => None,
+        };
+        let handlers = self.scopes.iter().flat_map(|s| &s.handlers).filter_map(|h| match h {
+            CHandler::OnFirst { expr, .. } | CHandler::On { body: CBody::Captured(expr), .. } => {
+                Some(expr)
+            }
+            CHandler::On { .. } => None,
+        });
+        top.into_iter().chain(handlers).flat_map(flux_query::loop_strategies).collect()
     }
 
     /// Scope variables that have a non-empty buffer tree, with a rendering

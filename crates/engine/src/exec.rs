@@ -39,8 +39,8 @@ use std::sync::Arc;
 
 use flux_core::DOC_ELEM;
 use flux_dtd::Glushkov;
-use flux_query::eval::{eval_cond_with, eval_expr, eval_expr_with, wrap_document, Env};
-use flux_query::{Atom, Cond, Expr, ROOT_VAR};
+use flux_query::eval::{eval_cond_with, eval_expr_indexed, wrap_document, AtomResolver, Env};
+use flux_query::{Atom, Cond, Expr, JoinMemo, ROOT_VAR};
 use flux_xml::{Event, EventBuf, NameId, Node, Reader, ResolvedEvent, Sink, Writer};
 
 use crate::budget::{Budget, BudgetHook};
@@ -1694,17 +1694,7 @@ impl<S: Sink> Machine<S> {
     /// flag-owned atoms on the fly — no expression clone per firing.
     fn fire_onfirst(&mut self, plan: &CompiledQuery, expr: &Expr) -> Result<(), EngineError> {
         self.stats.on_first_firings += 1;
-        let mut env = Env::new();
-        for &(sidx, obs) in &self.env_stack {
-            if let Some(rec) = &self.observers[obs].rec {
-                env.push(plan.scopes[sidx].var.clone(), rec.root());
-            }
-        }
-        let (env_stack, observers) = (&self.env_stack, &self.observers);
-        let resolve =
-            |atom: &Atom, bound: &[String]| lookup_flag_in(plan, env_stack, observers, atom, bound);
-        eval_expr_with(expr, &mut env, &mut self.writer, &resolve)?;
-        Ok(())
+        self.fire_buffered(plan, expr, None)
     }
 
     /// Fire a captured `on` handler body over the materialized child.
@@ -1715,24 +1705,38 @@ impl<S: Sink> Machine<S> {
         expr: &Expr,
         child: &Node,
     ) -> Result<(), EngineError> {
+        self.fire_buffered(plan, expr, Some((var, child)))
+    }
+
+    /// Evaluate a buffered XQuery− expression over the active scopes'
+    /// buffers (plus the captured child of an `on` handler, bound to its
+    /// variable).
+    fn fire_buffered(
+        &mut self,
+        plan: &CompiledQuery,
+        expr: &Expr,
+        captured: Option<(&str, &Node)>,
+    ) -> Result<(), EngineError> {
+        let Machine { writer, observers, env_stack, stats, cur_bytes, budget, .. } = self;
+        let (observers, env_stack) = (&*observers, &*env_stack);
         let mut env = Env::new();
-        for &(sidx, obs) in &self.env_stack {
-            if let Some(rec) = &self.observers[obs].rec {
-                env.push(plan.scopes[sidx].var.clone(), rec.root());
+        for &(sidx, obs) in env_stack {
+            if let Some(rec) = &observers[obs].rec {
+                env.push(&plan.scopes[sidx].var, rec.root());
             }
         }
-        env.push(var.to_string(), child);
-        let (env_stack, observers) = (&self.env_stack, &self.observers);
-        let resolve = |atom: &Atom, bound: &[String]| {
+        if let Some((var, child)) = captured {
+            env.push(var, child);
+        }
+        let resolve = |atom: &Atom, bound: &[&str]| {
             // The handler variable is bound to the captured child: atoms
             // rooted at it are never flag-owned.
-            if atom_root_var(atom) == var {
+            if captured.is_some_and(|(var, _)| atom_root_var(atom) == var) {
                 return None;
             }
             lookup_flag_in(plan, env_stack, observers, atom, bound)
         };
-        eval_expr_with(expr, &mut env, &mut self.writer, &resolve)?;
-        Ok(())
+        eval_with_join_indexes(expr, &mut env, writer, &resolve, stats, cur_bytes, budget)
     }
 
     /// Evaluate a condition: flag-owned atoms on the fly, residual atoms
@@ -1742,12 +1746,12 @@ impl<S: Sink> Machine<S> {
         let mut env = Env::new();
         for &(sidx, obs) in &self.env_stack {
             if let Some(rec) = &self.observers[obs].rec {
-                env.push(plan.scopes[sidx].var.clone(), rec.root());
+                env.push(&plan.scopes[sidx].var, rec.root());
             }
         }
         let (env_stack, observers) = (&self.env_stack, &self.observers);
         let resolve =
-            |atom: &Atom, bound: &[String]| lookup_flag_in(plan, env_stack, observers, atom, bound);
+            |atom: &Atom, bound: &[&str]| lookup_flag_in(plan, env_stack, observers, atom, bound);
         Ok(eval_cond_with(c, &env, &resolve)?)
     }
 
@@ -1802,7 +1806,16 @@ impl<S: Sink> Machine<S> {
         let mut stats =
             RunStats { peak_buffer_bytes: bytes, buffers_created: 1, ..RunStats::default() };
         let mut env = Env::with(ROOT_VAR, &doc);
-        eval_expr(e, &mut env, &mut self.writer)?;
+        let mut cur_bytes = bytes;
+        eval_with_join_indexes(
+            e,
+            &mut env,
+            &mut self.writer,
+            &|_, _| None,
+            &mut stats,
+            &mut cur_bytes,
+            &mut self.budget,
+        )?;
         stats.output_bytes = self.writer.bytes_written();
         self.stats = stats;
         Ok(stats)
@@ -1852,6 +1865,36 @@ impl<S: Sink> Machine<S> {
     }
 }
 
+/// Evaluate a buffered expression with indexed joins: each index the
+/// evaluator wants is charged to the run's buffer accounting *before* it is
+/// built — peak statistic, per-run limit and shared hook, like any buffered
+/// byte — and everything granted is returned when the evaluation ends,
+/// however it ends. A charge that does not fit is not an error: that loop
+/// runs as the nested loop it is defined as.
+fn eval_with_join_indexes<'a, S: Sink>(
+    expr: &'a Expr,
+    env: &mut Env<'a>,
+    writer: &mut Writer<S>,
+    resolve: AtomResolver<'_>,
+    stats: &mut RunStats,
+    cur_bytes: &mut usize,
+    budget: &mut Budget,
+) -> Result<(), EngineError> {
+    let mut grant = |bytes: usize| {
+        let fits = budget.check(*cur_bytes + bytes, bytes).is_ok();
+        if fits {
+            stats.buffer_grow(cur_bytes, bytes);
+        }
+        fits
+    };
+    let mut memo = JoinMemo::new(&mut grant);
+    let res = eval_expr_indexed(expr, env, writer, resolve, &mut memo);
+    let held = memo.granted_bytes();
+    RunStats::buffer_shrink(cur_bytes, held);
+    budget.release(held);
+    Ok(res?)
+}
+
 /// Current value of the flag evaluating `atom`, if the atom is flag-owned
 /// by an active scope. `bound` carries the variables rebound inside the
 /// expression being evaluated (their atoms belong to the buffer evaluator).
@@ -1860,13 +1903,13 @@ fn lookup_flag_in(
     env_stack: &[(usize, usize)],
     observers: &[Observer],
     atom: &Atom,
-    bound: &[String],
+    bound: &[&str],
 ) -> Option<bool> {
     if atom_is_join(atom) {
         return None;
     }
     let var = atom_root_var(atom);
-    if bound.iter().any(|b| b == var) {
+    if bound.contains(&var) {
         return None; // rebound inside the expression
     }
     for &(sidx, obs) in env_stack.iter().rev() {

@@ -151,6 +151,19 @@ impl Cond {
         Cond::And(Box::new(self), Box::new(other))
     }
 
+    /// Visit the top-level conjuncts (`χ` and `ψ` of `χ and ψ`, recursively;
+    /// a condition that is not a conjunction is its own single conjunct),
+    /// left to right.
+    pub fn for_each_conjunct<'a>(&'a self, f: &mut impl FnMut(&'a Cond)) {
+        match self {
+            Cond::And(a, b) => {
+                a.for_each_conjunct(f);
+                b.for_each_conjunct(f);
+            }
+            other => f(other),
+        }
+    }
+
     /// Visit every path reference occurring in the condition.
     pub fn visit_paths<'a, F: FnMut(&'a PathRef)>(&'a self, f: &mut F) {
         match self {
@@ -231,6 +244,15 @@ mod tests {
         assert_eq!(c.variables().into_iter().collect::<Vec<_>>(), ["article", "b", "book"]);
         assert!(c.mentions("book"));
         assert!(!c.mentions("nope"));
+    }
+
+    #[test]
+    fn conjuncts_are_visited_left_to_right() {
+        let atom = |v: &str| Cond::Atom(Atom::Exists(pr(v, "x")));
+        let c = atom("a").and(Cond::Or(Box::new(atom("b")), Box::new(atom("c")))).and(atom("d"));
+        let mut seen = Vec::new();
+        c.for_each_conjunct(&mut |k| seen.push(k.to_string()));
+        assert_eq!(seen, ["exists $a/x", "(exists $b/x or exists $c/x)", "exists $d/x"]);
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! Comparison semantics are XQuery's existential quantification over the
 //! node sequences denoted by both sides; values compare numerically when
 //! both operands parse as numbers, lexicographically otherwise.
+//!
+//! Loops are evaluated as the paper evaluates them — nested, one predicate
+//! test per binding. The engine additionally hands [`eval_expr_indexed`] a
+//! [`JoinMemo`], under which join-shaped loops visit only the bindings an
+//! index over the loop-invariant side selects (see [`crate::join`]); the
+//! nested loop stays the definition, the fallback and the test oracle.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -19,6 +25,7 @@ use flux_xml::{Node, Sink, Writer};
 
 use crate::ast::Expr;
 use crate::cond::{Atom, CmpRhs, Cond, PathRef, RelOp};
+use crate::join::{plan_join, JoinMemo, Loops};
 
 /// Evaluation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,10 +49,12 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// A variable environment: bindings from variable names to nodes, with
-/// lexical shadowing (later bindings win).
+/// lexical shadowing (later bindings win). Names are borrowed — from the
+/// expression under evaluation or the plan that owns it — so binding a
+/// variable copies nothing.
 #[derive(Debug, Default)]
 pub struct Env<'a> {
-    stack: Vec<(String, &'a Node)>,
+    stack: Vec<(&'a str, &'a Node)>,
 }
 
 impl<'a> Env<'a> {
@@ -55,15 +64,13 @@ impl<'a> Env<'a> {
     }
 
     /// Environment with a single binding (typically `$ROOT` → document).
-    pub fn with(var: impl Into<String>, node: &'a Node) -> Self {
-        let mut e = Env::new();
-        e.push(var, node);
-        e
+    pub fn with(var: &'a str, node: &'a Node) -> Self {
+        Env { stack: vec![(var, node)] }
     }
 
     /// Bind a variable (shadowing any previous binding).
-    pub fn push(&mut self, var: impl Into<String>, node: &'a Node) {
-        self.stack.push((var.into(), node));
+    pub fn push(&mut self, var: &'a str, node: &'a Node) {
+        self.stack.push((var, node));
     }
 
     /// Remove the most recent binding.
@@ -76,17 +83,16 @@ impl<'a> Env<'a> {
         self.stack
             .iter()
             .rev()
-            .find(|(v, _)| v == var)
+            .find(|(v, _)| *v == var)
             .map(|&(_, n)| n)
             .ok_or_else(|| EvalError::Unbound(var.to_string()))
     }
 
-    /// Resolve `$var/path` to the matching nodes in document order.
-    pub fn select(&self, pr: &PathRef) -> Result<Vec<&'a Node>, EvalError> {
-        let root = self.get(&pr.var)?;
-        let mut out = Vec::new();
-        root.select(pr.path.steps(), &mut out);
-        Ok(out)
+    /// Resolve `$var/path`, appending the matching nodes to `out` in
+    /// document order.
+    pub fn select(&self, pr: &PathRef, out: &mut Vec<&'a Node>) -> Result<(), EvalError> {
+        self.get(&pr.var)?.select(pr.path.steps(), out);
+        Ok(())
     }
 }
 
@@ -97,79 +103,133 @@ impl<'a> Env<'a> {
 /// environment's node bindings. Threading the resolver through evaluation
 /// (instead of substituting into a cloned expression) keeps handler
 /// firings allocation-free on the streaming path.
-pub type AtomResolver<'r> = &'r dyn Fn(&Atom, &[String]) -> Option<bool>;
+pub type AtomResolver<'r> = &'r dyn Fn(&Atom, &[&str]) -> Option<bool>;
+
+/// Per-evaluation state threaded through the recursion.
+struct Cx<'a, 'r, 'm, 'g> {
+    resolve: AtomResolver<'r>,
+    /// The loops entered so far; `loops.vars` is what the resolver sees.
+    loops: Loops<'a>,
+    /// Node-selection scratch used as a stack: every loop and comparison
+    /// appends its selections above the enclosing ones and truncates back,
+    /// so one allocation serves the whole evaluation.
+    nodes: Vec<&'a Node>,
+    memo: Option<&'m mut JoinMemo<'a, 'g>>,
+}
+
+impl<'a, 'r, 'm, 'g> Cx<'a, 'r, 'm, 'g> {
+    fn new(resolve: AtomResolver<'r>, memo: Option<&'m mut JoinMemo<'a, 'g>>) -> Self {
+        Cx { resolve, loops: Loops::default(), nodes: Vec::new(), memo }
+    }
+}
 
 /// Evaluate an expression, writing the result through an XML writer.
-pub fn eval_expr<S: Sink>(
-    expr: &Expr,
-    env: &mut Env<'_>,
+pub fn eval_expr<'a, S: Sink>(
+    expr: &'a Expr,
+    env: &mut Env<'a>,
     out: &mut Writer<S>,
 ) -> Result<(), EvalError> {
     eval_expr_with(expr, env, out, &|_, _| None)
 }
 
 /// [`eval_expr`] with an external atom resolver (see [`AtomResolver`]).
-pub fn eval_expr_with<S: Sink>(
-    expr: &Expr,
-    env: &mut Env<'_>,
+pub fn eval_expr_with<'a, S: Sink>(
+    expr: &'a Expr,
+    env: &mut Env<'a>,
     out: &mut Writer<S>,
     resolve: AtomResolver<'_>,
 ) -> Result<(), EvalError> {
-    eval_expr_inner(expr, env, out, resolve, &mut Vec::new())
+    eval_expr_inner(expr, env, out, &mut Cx::new(resolve, None))
 }
 
-fn eval_expr_inner<S: Sink>(
-    expr: &Expr,
-    env: &mut Env<'_>,
+/// [`eval_expr_with`], evaluating join-shaped loops through the indexes of
+/// `memo` (see [`JoinMemo`]). Output is byte-identical to the nested
+/// evaluation; loops the memo cannot or may not index run nested.
+pub fn eval_expr_indexed<'a, S: Sink>(
+    expr: &'a Expr,
+    env: &mut Env<'a>,
     out: &mut Writer<S>,
     resolve: AtomResolver<'_>,
-    bound: &mut Vec<String>,
+    memo: &mut JoinMemo<'a, '_>,
+) -> Result<(), EvalError> {
+    eval_expr_inner(expr, env, out, &mut Cx::new(resolve, Some(memo)))
+}
+
+fn eval_expr_inner<'a, S: Sink>(
+    expr: &'a Expr,
+    env: &mut Env<'a>,
+    out: &mut Writer<S>,
+    cx: &mut Cx<'a, '_, '_, '_>,
 ) -> Result<(), EvalError> {
     match expr {
         Expr::Empty => Ok(()),
         Expr::Str(s) => out.write_raw(s).map_err(io_err),
         Expr::Seq(items) => {
             for it in items {
-                eval_expr_inner(it, env, out, resolve, bound)?;
+                eval_expr_inner(it, env, out, cx)?;
             }
             Ok(())
         }
         Expr::OutputVar { var } => out.write_node(env.get(var)?).map_err(io_err),
         Expr::OutputPath { var, path } => {
-            let root = env.get(var)?;
-            let mut nodes = Vec::new();
-            root.select(path.steps(), &mut nodes);
-            for n in nodes {
-                out.write_node(n).map_err(io_err)?;
-            }
-            Ok(())
+            let base = cx.nodes.len();
+            env.get(var)?.select(path.steps(), &mut cx.nodes);
+            let res = cx.nodes[base..].iter().try_for_each(|n| out.write_node(n));
+            cx.nodes.truncate(base);
+            res.map_err(io_err)
         }
         Expr::If { cond, body } => {
-            if eval_cond_inner(cond, env, resolve, bound)? {
-                eval_expr_inner(body, env, out, resolve, bound)?;
+            if eval_cond_inner(cond, None, env, cx)? {
+                eval_expr_inner(body, env, out, cx)?;
             }
             Ok(())
         }
         Expr::For { var, in_var, path, pred, body } => {
             let root = env.get(in_var)?;
-            let mut nodes = Vec::new();
-            root.select(path.steps(), &mut nodes);
+            let base = cx.nodes.len();
+            // The bindings to visit: every item of the sequence, or — for a
+            // join-shaped loop under a memo — only those an index says can
+            // pass `joined`, which the per-binding test below then skips.
+            let joined = 'index: {
+                let (Some(memo), Some(chi)) = (&mut cx.memo, pred) else { break 'index None };
+                let Ok(plan) = plan_join(var, in_var, chi, &cx.loops) else { break 'index None };
+                // An atom the resolver owns is not ours to index.
+                cx.loops.push(var, in_var);
+                let owned = (cx.resolve)(plan.atom, &cx.loops.vars).is_some();
+                cx.loops.pop();
+                if owned {
+                    break 'index None;
+                }
+                let outer = env.get(&plan.outer.var)?;
+                memo.candidates(expr, root, path.steps(), &plan, outer, &mut cx.nodes)
+                    .then_some(plan.atom)
+            };
+            if joined.is_none() {
+                root.select(path.steps(), &mut cx.nodes);
+            }
+            let end = cx.nodes.len();
             // `var` is rebound below this point: the resolver must not
             // claim atoms rooted at it (lexical shadowing).
-            bound.push(var.clone());
-            for n in nodes {
-                env.push(var.clone(), n);
+            cx.loops.push(var, in_var);
+            let mut res = Ok(());
+            for i in base..end {
+                env.push(var, cx.nodes[i]);
                 let keep = match pred {
-                    Some(chi) => eval_cond_inner(chi, env, resolve, bound)?,
-                    None => true,
+                    Some(chi) => eval_cond_inner(chi, joined, env, cx),
+                    None => Ok(true),
                 };
-                let res =
-                    if keep { eval_expr_inner(body, env, out, resolve, bound) } else { Ok(()) };
+                res = keep.and_then(|keep| match keep {
+                    true => eval_expr_inner(body, env, out, cx),
+                    false => Ok(()),
+                });
                 env.pop();
-                res?;
+                if res.is_err() {
+                    break;
+                }
             }
-            bound.pop();
-            Ok(())
+            cx.loops.pop();
+            cx.nodes.truncate(base);
+            res
         }
     }
 }
@@ -189,59 +249,78 @@ pub fn eval_cond_with(
     env: &Env<'_>,
     resolve: AtomResolver<'_>,
 ) -> Result<bool, EvalError> {
-    eval_cond_inner(cond, env, resolve, &mut Vec::new())
+    eval_cond_inner(cond, None, env, &mut Cx::new(resolve, None))
 }
 
-fn eval_cond_inner(
+/// `joined` is the conjunct an index already decided for this binding (see
+/// the `For` arm): it holds, and is not evaluated again.
+fn eval_cond_inner<'a>(
     cond: &Cond,
-    env: &Env<'_>,
-    resolve: AtomResolver<'_>,
-    bound: &mut Vec<String>,
+    joined: Option<&Atom>,
+    env: &Env<'a>,
+    cx: &mut Cx<'a, '_, '_, '_>,
 ) -> Result<bool, EvalError> {
     Ok(match cond {
         Cond::True => true,
         Cond::And(a, b) => {
-            eval_cond_inner(a, env, resolve, bound)? && eval_cond_inner(b, env, resolve, bound)?
+            eval_cond_inner(a, joined, env, cx)? && eval_cond_inner(b, joined, env, cx)?
         }
         Cond::Or(a, b) => {
-            eval_cond_inner(a, env, resolve, bound)? || eval_cond_inner(b, env, resolve, bound)?
+            eval_cond_inner(a, joined, env, cx)? || eval_cond_inner(b, joined, env, cx)?
         }
-        Cond::Not(c) => !eval_cond_inner(c, env, resolve, bound)?,
+        Cond::Not(c) => !eval_cond_inner(c, joined, env, cx)?,
         Cond::Atom(atom) => {
-            if let Some(v) = resolve(atom, bound) {
+            if joined.is_some_and(|j| std::ptr::eq(j, atom)) {
+                return Ok(true);
+            }
+            if let Some(v) = (cx.resolve)(atom, &cx.loops.vars) {
                 return Ok(v);
             }
-            match atom {
-                Atom::Exists(p) => !env.select(p)?.is_empty(),
-                Atom::Cmp { left, op, right } => {
-                    let lhs = env.select(left)?;
-                    match right {
-                        CmpRhs::Const(s) => lhs.iter().any(|n| compare_values(&n.text(), *op, s)),
-                        CmpRhs::Path(rp) => {
-                            let rhs = env.select(rp)?;
-                            lhs.iter().any(|l| {
-                                let lv = l.text();
-                                rhs.iter().any(|r| compare_values(&lv, *op, &r.text()))
-                            })
-                        }
-                        CmpRhs::Scaled { factor, path } => {
-                            let rhs = env.select(path)?;
-                            lhs.iter().any(|l| {
-                                let Ok(lv) = l.text().trim().parse::<f64>() else { return false };
-                                rhs.iter().any(|r| match r.text().trim().parse::<f64>() {
-                                    Ok(rv) => op.test(partial_ord(lv, factor * rv)),
-                                    Err(_) => false,
-                                })
-                            })
-                        }
-                    }
-                }
-            }
+            let base = cx.nodes.len();
+            let res = eval_atom(atom, env, &mut cx.nodes);
+            cx.nodes.truncate(base);
+            res?
         }
     })
 }
 
-fn partial_ord(a: f64, b: f64) -> Ordering {
+/// Evaluate an atom over the environment's nodes; selections are appended
+/// to `nodes` (the caller truncates).
+fn eval_atom<'a>(atom: &Atom, env: &Env<'a>, nodes: &mut Vec<&'a Node>) -> Result<bool, EvalError> {
+    let base = nodes.len();
+    let (left, op, right) = match atom {
+        Atom::Exists(p) => {
+            env.select(p, nodes)?;
+            return Ok(nodes.len() > base);
+        }
+        Atom::Cmp { left, op, right } => (left, *op, right),
+    };
+    env.select(left, nodes)?;
+    let mid = nodes.len();
+    let rhs_path = match right {
+        CmpRhs::Const(s) => {
+            return Ok(nodes[base..].iter().any(|n| compare_values(&n.text_cow(), op, s)));
+        }
+        CmpRhs::Path(path) | CmpRhs::Scaled { path, .. } => path,
+    };
+    env.select(rhs_path, nodes)?;
+    let (lhs, rhs) = nodes[base..].split_at(mid - base);
+    Ok(match right {
+        CmpRhs::Scaled { factor, .. } => lhs.iter().any(|l| {
+            let Ok(lv) = l.text_cow().trim().parse::<f64>() else { return false };
+            rhs.iter().any(|r| match r.text_cow().trim().parse::<f64>() {
+                Ok(rv) => op.test(partial_ord(lv, factor * rv)),
+                Err(_) => false,
+            })
+        }),
+        _ => lhs.iter().any(|l| {
+            let lv = l.text_cow();
+            rhs.iter().any(|r| compare_values(&lv, op, &r.text_cow()))
+        }),
+    })
+}
+
+pub(crate) fn partial_ord(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or(Ordering::Less)
 }
 
@@ -391,12 +470,12 @@ mod tests {
         let mut env = Env::with(crate::ROOT_VAR, &doc);
         // $b is NOT bound in the environment: if the resolver failed to
         // claim the outer atom, evaluation would error with Unbound.
-        let resolve = |atom: &Atom, bound: &[String]| {
+        let resolve = |atom: &Atom, bound: &[&str]| {
             let var = match atom {
                 Atom::Cmp { left, .. } => &left.var,
                 Atom::Exists(p) => &p.var,
             };
-            (var == "b" && !bound.iter().any(|b| b == "b")).then_some(true)
+            (var == "b" && !bound.contains(&"b")).then_some(true)
         };
         let mut w = Writer::new(Vec::new());
         eval_expr_with(&e, &mut env, &mut w, &resolve).unwrap();

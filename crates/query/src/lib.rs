@@ -18,10 +18,14 @@
 //!   semantics; it is reused by the DOM baselines *and* by the FluX engine
 //!   to run buffered subexpressions, so all three execution paths share one
 //!   definition of the language.
+//! * [`join`] — indexed evaluation of join-shaped loops (hash probe /
+//!   key-column scan) for the engine's buffered subexpressions; the nested
+//!   loop of [`eval`] stays the definition and the oracle.
 
 pub mod ast;
 pub mod cond;
 pub mod eval;
+pub mod join;
 pub mod normalize;
 pub mod parser;
 pub mod path;
@@ -31,6 +35,7 @@ pub mod vars;
 pub use ast::Expr;
 pub use cond::{Atom, CmpRhs, Cond, PathRef, RelOp};
 pub use eval::{eval_expr, eval_query, Env, EvalError};
+pub use join::{loop_strategies, JoinMemo};
 pub use normalize::{is_normal_form, normalize, normalize_with_stats, NormalizeStats};
 pub use parser::{parse_condition, parse_xquery, Cursor, ParseError};
 pub use path::Path;

@@ -12,7 +12,9 @@ pub struct PaperQuery {
     pub name: &'static str,
     /// The XQuery− source text.
     pub source: &'static str,
-    /// Does this query evaluate a join (the paper's naive nested loops)?
+    /// Does this query evaluate a join? The paper (and the DOM baseline) run
+    /// it as naive nested loops over the buffered sides; the FluX engine
+    /// indexes the loop-invariant side (`flux_query::join`).
     pub is_join: bool,
 }
 
@@ -24,7 +26,8 @@ pub const Q1: &str = "<query1>\
   <result> {$b/name} </result> }\
 </query1>";
 
-/// XMark Q8: items bought per person — a person ⋈ closed_auction join.
+/// XMark Q8: items bought per person — a person ⋈ closed_auction equality
+/// join (the engine's hash-probe case).
 pub const Q8: &str = "<query8>\
 { for $p in /site/people/person return \
   <item>\
@@ -38,7 +41,8 @@ pub const Q8: &str = "<query8>\
 </query8>";
 
 /// XMark Q11: auctions a person could afford — person ⋈ open_auction with a
-/// scaled comparison (`income > 5000 · initial`).
+/// scaled comparison (`income > 5000 · initial`; the engine's key-column-scan
+/// case).
 pub const Q11: &str = "<query11>\
 { for $p in /site/people/person return \
   <items>\

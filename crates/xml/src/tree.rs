@@ -7,6 +7,7 @@
 //! of SAX events (start, …children…, end), so replaying a buffer is just a
 //! pre-order walk.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::BufRead;
 
@@ -70,6 +71,17 @@ impl Node {
         let mut out = String::new();
         self.collect_text(&mut out);
         out
+    }
+
+    /// [`Node::text`] without the copy in the common shapes: an element
+    /// holding one text child (or nothing) lends its string value; only
+    /// mixed or nested content is concatenated into an owned string.
+    pub fn text_cow(&self) -> Cow<'_, str> {
+        match &*self.children {
+            [] => Cow::Borrowed(""),
+            [Child::Text(t)] => Cow::Borrowed(t),
+            _ => Cow::Owned(self.text()),
+        }
     }
 
     fn collect_text(&self, out: &mut String) {
@@ -318,6 +330,10 @@ mod tests {
     fn string_value_concatenates() {
         let n = Node::parse_str("<a>x<b>y</b>z</a>").unwrap();
         assert_eq!(n.text(), "xyz");
+        assert!(matches!(n.text_cow(), Cow::Owned(s) if s == "xyz"));
+        let leaf = Node::parse_str("<a>x</a>").unwrap();
+        assert!(matches!(leaf.text_cow(), Cow::Borrowed("x")));
+        assert!(matches!(Node::new("e").text_cow(), Cow::Borrowed("")));
     }
 
     #[test]

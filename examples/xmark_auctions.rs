@@ -56,5 +56,6 @@ fn main() {
         );
     }
     println!("\nQ1/Q13 stream with 0-byte buffers; Q20 buffers one person at a time;");
-    println!("Q8/Q11 buffer both join sides (the paper's naive nested-loop joins).");
+    println!("Q8/Q11 buffer both join sides; the buffered join is a hash probe (Q8) and a");
+    println!("key-column scan (Q11) where the paper — and the DOM baseline — loop nested.");
 }

@@ -193,6 +193,15 @@ impl PreparedQuery {
         self.compiled.buffer_plan()
     }
 
+    /// How each `for … where` of the buffered subexpressions is evaluated:
+    /// `hash join on <atom>`, `key-column scan on <atom>` or
+    /// `nested loop (<reason>)`, one line per loop — decided by the same
+    /// predicate the engine's buffer evaluator consults. Empty when no
+    /// buffered loop carries a condition.
+    pub fn join_plan(&self) -> Vec<String> {
+        self.compiled.join_plan()
+    }
+
     /// Does the schedule prove the query needs no buffering at all?
     pub fn is_fully_streaming(&self) -> bool {
         self.compiled.buffer_tree_nodes() == 0

@@ -645,3 +645,194 @@ fn name(id: RuntimeId, a: RuntimeId, b: RuntimeId, c: RuntimeId) -> &'static str
         "?"
     }
 }
+
+// ---------------------------------------------------------------------------
+// Join indexes: transient bytes of a buffered join's firing, charged like
+// any buffered byte and never a new way to fail.
+// ---------------------------------------------------------------------------
+
+/// A standalone pool that logs every request, can refuse one of them by
+/// position, and tracks the aggregate and its peak.
+#[derive(Default)]
+struct LoggingHook {
+    used: AtomicUsize,
+    peak: AtomicUsize,
+    requests: std::sync::Mutex<Vec<usize>>,
+    deny_request: Option<usize>,
+}
+
+impl LoggingHook {
+    fn used(&self) -> usize {
+        self.used.load(Ordering::SeqCst)
+    }
+    fn peak(&self) -> usize {
+        self.peak.load(Ordering::SeqCst)
+    }
+    fn requests(&self) -> Vec<usize> {
+        self.requests.lock().unwrap().clone()
+    }
+}
+
+impl BudgetHook for LoggingHook {
+    fn try_grow(&self, bytes: usize) -> bool {
+        let mut requests = self.requests.lock().unwrap();
+        requests.push(bytes);
+        if self.deny_request == Some(requests.len() - 1) {
+            return false;
+        }
+        let now = self.used.fetch_add(bytes, Ordering::SeqCst) + bytes;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        true
+    }
+    fn release(&self, bytes: usize) {
+        self.used.fetch_sub(bytes, Ordering::SeqCst);
+    }
+}
+
+/// XMark Q8 (a hash join) and Q11 (a key-column scan) over one small
+/// document: source, prepared query and unconstrained reference run of each.
+fn join_fixture() -> (String, Vec<(&'static str, PreparedQuery, RunOutcome)>) {
+    use flux::xmark::{generate_string, XmarkConfig, Q11, Q8, XMARK_DTD};
+    let (doc, _) = generate_string(&XmarkConfig::new(48 << 10));
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
+    let runs = [Q8, Q11]
+        .map(|src| {
+            let q = engine.prepare(src).unwrap();
+            let reference = q.run_str(&doc).unwrap();
+            (src, q, reference)
+        })
+        .into();
+    (doc, runs)
+}
+
+#[test]
+fn join_index_is_charged_during_the_firing_and_returned_after_it() {
+    let (doc, runs) = join_fixture();
+    for (_, q, reference) in &runs {
+        let hook = Arc::new(LoggingHook::default());
+        let mut s = q.session_with_budget(StringSink::new(), hook.clone());
+        s.feed(doc.as_bytes()).unwrap();
+        // The join fired inside `feed`, once both sections had been seen.
+        // Its index was the last thing requested, on top of all the buffers…
+        let requests = hook.requests();
+        let index = *requests.last().unwrap();
+        let buffers: usize = requests[..requests.len() - 1].iter().sum();
+        assert!(index > 0 && buffers > 0);
+        assert_eq!(hook.peak(), buffers + index, "index charged while the join ran");
+        // …and is gone again, with every buffer, before the run is over.
+        assert_eq!(hook.used(), 0, "nothing is held at quiescence");
+        let fin = s.finish().unwrap();
+        assert_eq!(fin.sink.as_str(), reference.output);
+        assert_eq!(fin.stats.peak_buffer_bytes, buffers + index, "the paper's metric sees it");
+        assert_eq!(fin.stats.peak_buffer_bytes, reference.stats.peak_buffer_bytes);
+        assert_eq!(fin.stats.final_buffer_bytes, 0);
+        assert_eq!(hook.used(), 0);
+    }
+}
+
+#[test]
+fn a_refused_join_index_falls_back_to_the_nested_loop() {
+    let (doc, runs) = join_fixture();
+    for (_, q, reference) in &runs {
+        // Learn the request sequence, then refuse exactly the index.
+        let probe = Arc::new(LoggingHook::default());
+        q.session_with_budget(StringSink::new(), probe.clone()).feed(doc.as_bytes()).unwrap();
+        let requests = probe.requests();
+        let (index, buffers) = (requests.len() - 1, probe.peak() - requests[requests.len() - 1]);
+
+        let hook = Arc::new(LoggingHook { deny_request: Some(index), ..Default::default() });
+        let mut s = q.session_with_budget(StringSink::new(), hook.clone());
+        s.feed(doc.as_bytes()).unwrap();
+        let fin = s.finish().expect("a refused index is not BudgetDenied");
+        assert_eq!(fin.sink.as_str(), reference.output, "same bytes through the nested loop");
+        assert_eq!(hook.requests().len(), requests.len(), "asked once, not once per person");
+        assert_eq!(hook.peak(), buffers, "nothing was charged for the refused index");
+        assert_eq!(fin.stats.peak_buffer_bytes, buffers);
+        assert_eq!(hook.used(), 0);
+    }
+}
+
+#[test]
+fn a_buffer_limit_between_buffers_and_index_falls_back_too() {
+    use flux::xmark::XMARK_DTD;
+    let (doc, runs) = join_fixture();
+    for (src, q, reference) in &runs {
+        let probe = Arc::new(LoggingHook::default());
+        q.session_with_budget(StringSink::new(), probe.clone()).feed(doc.as_bytes()).unwrap();
+        let index = *probe.requests().last().unwrap();
+        let buffers = probe.peak() - index;
+
+        // Room for the buffers and half an index: the run completes on the
+        // nested path, byte-identical, and stays under its limit.
+        let limited = Engine::builder()
+            .dtd_str(XMARK_DTD)
+            .max_buffer_bytes(buffers + index / 2)
+            .build()
+            .unwrap()
+            .prepare(src)
+            .unwrap();
+        let run = limited.run_str(&doc).expect("a limit that fits the buffers is not BufferLimit");
+        assert_eq!(run.output, reference.output);
+        assert_eq!(run.stats.peak_buffer_bytes, buffers);
+
+        // The limit itself is as strict as ever.
+        let starved = Engine::builder()
+            .dtd_str(XMARK_DTD)
+            .max_buffer_bytes(buffers - 1)
+            .build()
+            .unwrap()
+            .prepare(src)
+            .unwrap();
+        assert!(matches!(
+            starved.run_str(&doc),
+            Err(FluxError::Engine(flux::engine::EngineError::BufferLimit { .. }))
+        ));
+    }
+}
+
+#[test]
+fn join_index_is_returned_on_abort_and_on_an_error_inside_the_join() {
+    /// Accepts `room` bytes, then fails every write.
+    struct FailingSink {
+        room: usize,
+    }
+    impl std::io::Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.room {
+                return Err(std::io::Error::other("sink full"));
+            }
+            self.room -= buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let (doc, runs) = join_fixture();
+    let cut = doc.rfind("</closed_auctions>").unwrap();
+    for (_, q, reference) in &runs {
+        // Abort with both join sides buffered (before the join fires)…
+        let hook = Arc::new(LoggingHook::default());
+        let mut s = q.session_with_budget(StringSink::new(), hook.clone());
+        s.feed(&doc.as_bytes()[..cut]).unwrap();
+        let buffers = hook.used();
+        assert!(buffers > 0);
+        drop(s);
+        assert_eq!(hook.used(), 0, "abort released the buffers");
+
+        // …and fail half-way through the join's output: the index goes back
+        // at once, the buffers with the failed session.
+        let hook = Arc::new(LoggingHook::default());
+        let sink = FailingSink { room: reference.output.len() / 2 };
+        let mut s = q.session_with_budget(sink, hook.clone());
+        let failed = s.feed(doc.as_bytes()).is_err() || s.is_aborted();
+        assert!(failed, "the sink error surfaced");
+        let index = *hook.requests().last().unwrap();
+        assert!(hook.peak() > buffers && hook.peak() <= buffers + index, "the join had started");
+        assert!(hook.used() <= buffers, "the index did not outlive the failed evaluation");
+        let (res, _) = s.finish_parts();
+        assert!(res.is_err_and(|e| e.to_string().contains("sink full")));
+        assert_eq!(hook.used(), 0, "failed run released index and buffers");
+    }
+}

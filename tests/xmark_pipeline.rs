@@ -99,6 +99,35 @@ fn joins_buffer_both_sides_but_only_projected_parts() {
 }
 
 #[test]
+fn explain_names_the_join_strategy_of_every_buffered_conditional_loop() {
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
+    let joins = |src: &str| engine.prepare(src).unwrap().join_plan();
+    assert_eq!(
+        joins(flux::xmark::Q8),
+        ["for $t in $closed_auctions/closed_auction: \
+          hash join on $t/buyer/buyer_person = $p/person_id"]
+    );
+    assert_eq!(
+        joins(flux::xmark::Q11),
+        ["for $o in $open_auctions/open_auction: \
+          key-column scan on $p/profile/profile_income > (5000 * $o/initial)"]
+    );
+    // No buffered loop carries a condition in the other three: Q1's is a
+    // flag evaluated on the fly, Q20's an `if` over the buffered person.
+    for q in [flux::xmark::Q1, flux::xmark::Q13, flux::xmark::Q20] {
+        assert!(joins(q).is_empty(), "{q}");
+    }
+    // A selection is not a join, and says so.
+    assert_eq!(
+        joins(
+            "<r>{ for $p in /site/people/person return <p>{ for $t in \
+               /site/closed_auctions/closed_auction where $t/price > 100 return {$t/price} }</p> }</r>"
+        ),
+        ["for $t in $closed_auctions/closed_auction: nested loop (no join atom)"]
+    );
+}
+
+#[test]
 fn flux_memory_beats_the_dom_by_a_wide_margin() {
     let (dtd, doc, _) = setup();
     for q in PAPER_QUERIES {
