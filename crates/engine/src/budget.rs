@@ -76,32 +76,48 @@ pub trait BudgetHook: Send + Sync {
     }
 }
 
-/// One subscriber of budget release edges (see
-/// [`BudgetHook::subscribe_waker`]): an *armable* callback, so firing is
-/// edge-triggered and idempotent.
+/// An *armable*, edge-triggered wake-up callback: the one cross-thread
+/// "something changed, come and look" primitive of the stack. Firing is
+/// idempotent — only an armed waker invokes its callback, and doing so
+/// consumes the arm — so any number of producers can fire it per burst and
+/// the owner pays for at most one notification.
 ///
-/// The cycle is: the owner [`arm`](BudgetWaker::arm)s the waker, re-checks
-/// [`BudgetHook::should_pause`] (arming *before* checking closes the race
-/// with a concurrent release), and blocks; a release edge
-/// [`fire`](BudgetWaker::fire)s every armed waker exactly once — the
-/// notification callback typically enqueues a retry message onto the
-/// owner's mailbox. A waker that is not armed costs a release edge one
-/// relaxed atomic load.
-pub struct BudgetWaker {
+/// The cycle is always *arm, then re-check, then block*: the owner
+/// [`arm`](EdgeWaker::arm)s the waker, re-checks the condition it waits on
+/// (arming *before* checking closes the race with a concurrent producer),
+/// and blocks; a producer that changes the condition afterwards
+/// [`fire`](EdgeWaker::fire)s the waker, whose callback delivers the
+/// wake-up (a mailbox message, an `eventfd` write). Because `arm` and
+/// `fire` are both read-modify-writes of one flag, a `fire` that finds the
+/// waker unarmed is ordered before the owner's next `arm`: whatever the
+/// producer did before firing is visible to the re-check that follows that
+/// `arm`. A wake-up can be spurious, never lost.
+///
+/// Two users today: budget release edges (as [`BudgetWaker`], see
+/// [`BudgetHook::subscribe_waker`] — a worker with paused sessions sleeps
+/// on its mailbox until the pool frees) and the runtime's front-end
+/// notifier (`flux::RuntimeBuilder::notifier` — a server thread blocked in
+/// its poller until a worker has events or output for it).
+pub struct EdgeWaker {
     armed: AtomicBool,
     /// Aggregate armed count of the hook this waker subscribed to, bound at
     /// [`BudgetHook::subscribe_waker`] time. Lets the hook's release path
     /// skip the subscriber scan with one relaxed load while nobody waits.
+    /// Unbound (and unused) for wakers that subscribe to no hook.
     armed_hint: std::sync::OnceLock<Arc<std::sync::atomic::AtomicUsize>>,
     notify: Box<dyn Fn() + Send + Sync>,
 }
 
-impl BudgetWaker {
-    /// A waker invoking `notify` on every release edge it is armed for.
-    /// `notify` runs on whatever thread performs the release: keep it to a
-    /// wakeup (a channel send, a condvar signal), not work.
-    pub fn new(notify: impl Fn() + Send + Sync + 'static) -> Arc<BudgetWaker> {
-        Arc::new(BudgetWaker {
+/// An [`EdgeWaker`] subscribed to budget release edges (see
+/// [`BudgetHook::subscribe_waker`]).
+pub type BudgetWaker = EdgeWaker;
+
+impl EdgeWaker {
+    /// A waker invoking `notify` on every edge it is armed for. `notify`
+    /// runs on whatever thread fires the waker: keep it to a wakeup (a
+    /// channel send, a condvar signal, an `eventfd` write), not work.
+    pub fn new(notify: impl Fn() + Send + Sync + 'static) -> Arc<EdgeWaker> {
+        Arc::new(EdgeWaker {
             armed: AtomicBool::new(false),
             armed_hint: std::sync::OnceLock::new(),
             notify: Box::new(notify),
@@ -114,9 +130,10 @@ impl BudgetWaker {
         self.armed_hint.set(hint).expect("a BudgetWaker subscribes to one hook");
     }
 
-    /// Arm for the next release edge. Arm *before* re-checking
-    /// [`BudgetHook::should_pause`]: a release between the check and the
-    /// blocking wait then still fires the waker.
+    /// Arm for the next edge. Arm *before* re-checking the awaited
+    /// condition ([`BudgetHook::should_pause`], a queue's emptiness): a
+    /// producer acting between the check and the blocking wait then still
+    /// fires the waker.
     pub fn arm(&self) {
         if !self.armed.swap(true, Ordering::SeqCst) {
             if let Some(hint) = self.armed_hint.get() {
@@ -126,7 +143,7 @@ impl BudgetWaker {
     }
 
     /// Cancel a pending arm (the owner woke up for another reason). A
-    /// concurrent [`BudgetWaker::fire`] may still have won the flag — a
+    /// concurrent [`EdgeWaker::fire`] may still have won the flag — a
     /// spurious notification must be tolerated (retries are cheap no-ops).
     pub fn disarm(&self) {
         if self.armed.swap(false, Ordering::SeqCst) {
@@ -136,15 +153,21 @@ impl BudgetWaker {
         }
     }
 
-    /// Invoke the callback if armed, consuming the arm. Called by hook
-    /// implementations on release edges.
-    pub fn fire(&self) {
-        if self.armed.swap(false, Ordering::SeqCst) {
+    /// Invoke the callback if armed, consuming the arm; returns whether it
+    /// did (`false` = coalesced into a notification already on its way).
+    /// Called by producers after the state change the owner waits on. The
+    /// flag is swapped unconditionally, never peeked first: it is this
+    /// read-modify-write that orders an unarmed `fire` before the owner's
+    /// next `arm`.
+    pub fn fire(&self) -> bool {
+        let armed = self.armed.swap(false, Ordering::SeqCst);
+        if armed {
             if let Some(hint) = self.armed_hint.get() {
                 hint.fetch_sub(1, Ordering::SeqCst);
             }
             (self.notify)();
         }
+        armed
     }
 
     /// Is the waker currently armed?
@@ -153,7 +176,7 @@ impl BudgetWaker {
     }
 }
 
-impl Drop for BudgetWaker {
+impl Drop for EdgeWaker {
     fn drop(&mut self) {
         // An owner can die while armed (a runtime dropped mid-stall):
         // return the arm so the subscriber-side armed count stays exact.
@@ -161,9 +184,9 @@ impl Drop for BudgetWaker {
     }
 }
 
-impl std::fmt::Debug for BudgetWaker {
+impl std::fmt::Debug for EdgeWaker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BudgetWaker").field("armed", &self.is_armed()).finish()
+        f.debug_struct("EdgeWaker").field("armed", &self.is_armed()).finish()
     }
 }
 
@@ -382,15 +405,15 @@ mod tests {
         let hint = Arc::new(AtomicUsize::new(0));
         w.bind_armed_hint(hint.clone());
 
-        w.fire(); // unarmed: nothing happens
+        assert!(!w.fire(), "unarmed: nothing happens");
         assert_eq!(fired.load(Ordering::SeqCst), 0);
 
         w.arm();
         w.arm(); // idempotent: the hint counts armed wakers, not arm calls
         assert_eq!(hint.load(Ordering::SeqCst), 1);
         assert!(w.is_armed());
-        w.fire();
-        w.fire(); // edge-triggered: the arm was consumed
+        assert!(w.fire());
+        assert!(!w.fire(), "edge-triggered: the arm was consumed");
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         assert_eq!(hint.load(Ordering::SeqCst), 0);
 

@@ -69,7 +69,7 @@ pub mod fanout;
 pub mod flags;
 pub mod stats;
 
-pub use budget::{BudgetHook, BudgetObserver, BudgetWaker, ObservedHook};
+pub use budget::{BudgetHook, BudgetObserver, BudgetWaker, EdgeWaker, ObservedHook};
 pub use compile::{CompiledQuery, EngineError, EngineOptions};
 pub use exec::{Pump, RunOutcome, StreamInterest};
 pub use fanout::{FanoutDriver, FanoutPlan, FanoutQuery, SharedMatcher, SubTeardown};

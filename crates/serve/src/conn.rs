@@ -7,7 +7,13 @@
 //! terminal event. Engine output crosses threads through a [`SharedOut`]
 //! buffer: the session's [`FrameSink`] (executing on a runtime worker)
 //! appends raw result bytes, and the server thread drains them into
-//! `RESULT` frames on the connection's write buffer.
+//! `RESULT` frames on the connection's write buffer. The server thread
+//! sleeps in its poller, so it has to be *told* to come and drain: the
+//! runtime's notifier does that whenever a worker's mailbox runs dry, and
+//! the buffer itself fires the same waker the moment undelivered output
+//! reaches one full `RESULT` frame ([`OutputWake`]) — a session flooded
+//! with input streams full frames instead of holding its output until the
+//! flood ends.
 //!
 //! Backpressure is structural, not buffered: when the socket stops
 //! accepting writes and the outbound buffer crosses the server's high-water
@@ -24,6 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use flux::RuntimeId;
+use flux_engine::EdgeWaker;
 use flux_xml::{ScanTelemetry, Sink, TapeTelemetry};
 
 use crate::metrics::{Dir, ServeMetrics};
@@ -66,19 +73,39 @@ impl ConnState {
     }
 }
 
+/// How output buffers reach the sleeping server thread: the runtime
+/// notifier's waker (shared, so every source coalesces into one wake-up per
+/// server pass) and the amount of undelivered output worth waking it for.
+pub(crate) struct OutputWake {
+    /// The server's runtime notifier (see [`Server`](crate::Server) for
+    /// the protocol): armed by the server before each drain.
+    pub(crate) notifier: Arc<EdgeWaker>,
+    /// One full `RESULT` frame (`ServerConfig::result_frame_max`).
+    pub(crate) frame_max: usize,
+    pub(crate) metrics: Option<Arc<ServeMetrics>>,
+}
+
 /// The engine→connection output buffer, shared between a session's
 /// [`FrameSink`] (on a runtime worker thread) and the server thread.
-#[derive(Debug, Default)]
 pub(crate) struct SharedOut {
     buf: Mutex<Vec<u8>>,
-    /// Mirror of `buf.len()`, so the server's per-tick scan costs one
-    /// relaxed load per connection instead of a lock.
+    /// Mirror of `buf.len()`, so the server's per-pass scan costs one
+    /// relaxed load per connection instead of a lock. Relaxed is enough:
+    /// the server reads it after arming the notifier, and every append is
+    /// followed (here on a full frame, else by the worker's next event or
+    /// idle flush) by a `fire` of that notifier — the flag's
+    /// read-modify-writes order the two (see [`EdgeWaker`]).
     len: AtomicUsize,
+    wake: Arc<OutputWake>,
 }
 
 impl SharedOut {
-    pub(crate) fn new() -> Arc<SharedOut> {
-        Arc::new(SharedOut::default())
+    pub(crate) fn new(wake: &Arc<OutputWake>) -> Arc<SharedOut> {
+        Arc::new(SharedOut {
+            buf: Mutex::new(Vec::new()),
+            len: AtomicUsize::new(0),
+            wake: Arc::clone(wake),
+        })
     }
 
     /// Bytes currently buffered (racy read; the drain locks).
@@ -87,16 +114,35 @@ impl SharedOut {
     }
 
     fn append(&self, bytes: &[u8]) {
-        let mut buf = self.buf.lock().expect("session output buffer");
-        buf.extend_from_slice(bytes);
-        self.len.store(buf.len(), Ordering::Relaxed);
+        let (before, after) = {
+            let mut buf = self.buf.lock().expect("session output buffer");
+            let before = buf.len();
+            buf.extend_from_slice(bytes);
+            self.len.store(buf.len(), Ordering::Relaxed);
+            (before, buf.len())
+        };
+        // Crossing one full frame: worth a wake-up of its own. Once per
+        // drain — the buffer has to be emptied before it can cross again —
+        // and outside the lock, so the callback's syscall never holds up
+        // the drain it asks for.
+        let frame = self.wake.frame_max;
+        if before < frame && after >= frame {
+            let fired = self.wake.notifier.fire();
+            if let Some(m) = &self.wake.metrics {
+                m.note_notify(fired);
+            }
+        }
     }
 
-    /// Take everything buffered so far (output order is append order).
-    pub(crate) fn take(&self) -> Vec<u8> {
+    /// Swap everything buffered so far into `spare` (output order is append
+    /// order), leaving `spare`'s old allocation behind for the worker to
+    /// append into: both sides keep their capacity across drains instead of
+    /// one freeing and the other regrowing a buffer per drain.
+    pub(crate) fn take_into(&self, spare: &mut Vec<u8>) {
+        spare.clear();
         let mut buf = self.buf.lock().expect("session output buffer");
         self.len.store(0, Ordering::Relaxed);
-        std::mem::take(&mut buf)
+        std::mem::swap(&mut *buf, spare);
     }
 }
 
@@ -155,7 +201,7 @@ pub(crate) struct Conn {
     pub(crate) stalled: bool,
     /// A fatal frame was sent (`ERROR`): flush `out`, then close.
     pub(crate) close_after_flush: bool,
-    /// The peer disconnected: reap this connection this tick.
+    /// The peer disconnected: reap this connection this pass.
     pub(crate) peer_gone: bool,
     /// Interest currently registered with the poller (to skip redundant
     /// reregistration).
@@ -163,16 +209,20 @@ pub(crate) struct Conn {
     /// When the current run's opens were sealed into a session — feeds the
     /// per-query `flux_serve_run_duration_us` histogram at `DONE` time.
     pub(crate) run_started: Option<std::time::Instant>,
-    /// The server's instrument bundle, if metrics are configured; every
-    /// frame and byte through this connection counts against it.
-    pub(crate) metrics: Option<Arc<ServeMetrics>>,
+    /// What this connection's output seams wake the server with — and the
+    /// server's instrument bundle, if metrics are configured: every frame
+    /// and byte through this connection counts against it.
+    pub(crate) output_wake: Arc<OutputWake>,
+    /// The drained half of the output double buffer (see
+    /// [`SharedOut::take_into`]).
+    spare: Vec<u8>,
 }
 
 impl Conn {
     pub(crate) fn new(
         stream: TcpStream,
         max_frame_payload: usize,
-        metrics: Option<Arc<ServeMetrics>>,
+        output_wake: Arc<OutputWake>,
     ) -> Conn {
         Conn {
             stream,
@@ -189,7 +239,8 @@ impl Conn {
             peer_gone: false,
             registered: Interest::READ,
             run_started: None,
-            metrics,
+            output_wake,
+            spare: Vec::new(),
         }
     }
 
@@ -201,7 +252,7 @@ impl Conn {
     /// Queue one frame for the client — the single outbound funnel, so
     /// every server→client frame counts once in the metrics.
     pub(crate) fn queue(&mut self, kind: FrameKind, payload: &[u8]) {
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.output_wake.metrics {
             m.note_frame(Dir::Out, kind);
         }
         encode_frame(&mut self.out, kind, payload);
@@ -284,10 +335,12 @@ impl Conn {
         if shared.len() == 0 {
             return;
         }
-        let bytes = shared.take();
+        let mut bytes = std::mem::take(&mut self.spare);
+        shared.take_into(&mut bytes);
         for chunk in bytes.chunks(frame_max.max(1)) {
             self.queue(FrameKind::Result, chunk);
         }
+        self.spare = bytes;
     }
 
     /// Drain one shared-mode subscriber's output into tagged `RESULT`
@@ -297,10 +350,12 @@ impl Conn {
         if self.multi[sub].len() == 0 {
             return;
         }
-        let bytes = self.multi[sub].take();
+        let mut bytes = std::mem::take(&mut self.spare);
+        self.multi[sub].take_into(&mut bytes);
         for chunk in bytes.chunks(frame_max.saturating_sub(4).max(1)) {
             self.queue_tagged(sub as u32, FrameKind::Result, chunk);
         }
+        self.spare = bytes;
     }
 
     /// Should the poller watch this connection for readability?
@@ -316,7 +371,7 @@ impl Conn {
             match self.stream.read(scratch) {
                 Ok(0) => return ReadPass::PeerGone,
                 Ok(n) => {
-                    if let Some(m) = &self.metrics {
+                    if let Some(m) = &self.output_wake.metrics {
                         m.bytes_in.add(n as u64);
                     }
                     self.decoder.feed(&scratch[..n]);
@@ -338,7 +393,7 @@ impl Conn {
                     break;
                 }
                 Ok(n) => {
-                    if let Some(m) = &self.metrics {
+                    if let Some(m) = &self.output_wake.metrics {
                         m.bytes_out.add(n as u64);
                     }
                     self.out_pos += n;
@@ -360,5 +415,60 @@ impl Conn {
             self.out.drain(..self.out_pos);
             self.out_pos = 0;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn wake(frame_max: usize, fired: &Arc<AtomicUsize>) -> Arc<OutputWake> {
+        let fired = Arc::clone(fired);
+        let notifier = EdgeWaker::new(move || {
+            fired.fetch_add(1, Ordering::SeqCst);
+        });
+        Arc::new(OutputWake { notifier, frame_max, metrics: None })
+    }
+
+    #[test]
+    fn a_drain_swaps_buffers_so_capacity_survives_it() {
+        let out = SharedOut::new(&wake(usize::MAX, &Arc::default()));
+        let mut spare = Vec::with_capacity(8192);
+        out.append(&[7; 4096]);
+        let grown = out.buf.lock().unwrap().capacity();
+        out.take_into(&mut spare);
+        assert_eq!((spare.as_slice(), out.len()), (&[7; 4096][..], 0));
+        // Swapped, not reallocated: each side now holds the other's buffer,
+        assert_eq!(spare.capacity(), grown);
+        assert_eq!(out.buf.lock().unwrap().capacity(), 8192);
+        // so the worker's next append does not regrow from nothing, and the
+        // next drain hands the same two allocations back.
+        out.append(&[8; 4096]);
+        assert_eq!(out.buf.lock().unwrap().capacity(), 8192);
+        out.take_into(&mut spare);
+        assert_eq!(spare.as_slice(), &[8; 4096][..]);
+        assert_eq!((spare.capacity(), out.buf.lock().unwrap().capacity()), (8192, grown));
+    }
+
+    #[test]
+    fn output_crossing_one_frame_fires_the_notifier_once_per_drain() {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let wake = wake(100, &fired);
+        let out = SharedOut::new(&wake);
+        let mut spare = Vec::new();
+
+        wake.notifier.arm();
+        out.append(&[0; 99]);
+        assert_eq!(fired.load(Ordering::SeqCst), 0, "below one frame: the idle flush covers it");
+        out.append(&[0; 1]);
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "crossed");
+        wake.notifier.arm();
+        out.append(&[0; 500]);
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "already announced, not yet drained");
+
+        out.take_into(&mut spare);
+        out.append(&[0; 250]);
+        assert_eq!(fired.load(Ordering::SeqCst), 2, "a fresh crossing after the drain");
+        assert!(!wake.notifier.is_armed());
     }
 }

@@ -14,14 +14,17 @@
 //!   `FINISH` / `ABORT` in; `RESULT` / `DONE` / `STALLED` / `RESUMED` /
 //!   `ERROR` out) with an incremental, resumable [`FrameDecoder`] in the
 //!   style of the XML reader's `FeedSource`.
-//! * [`poller`] — socket readiness behind the small [`Poller`] trait
-//!   (registry + poll), with a `poll(2)`-backed unix backend and a portable
-//!   fallback; the seam where epoll/io_uring slot in.
+//! * [`poller`] — socket readiness and cross-thread wake-ups behind the
+//!   small [`Poller`] trait (registry + poll + [`PollWaker`]), with a
+//!   `poll(2)`/`eventfd(2)`-backed unix backend and a portable fallback;
+//!   the seam where epoll/io_uring slot in.
 //! * [`server`] — the [`Server`]: a connection state machine per socket,
 //!   sessions multiplexed onto a [`Runtime`](flux::Runtime), per-connection
 //!   write-backpressure (an unwritable socket parks the session's reads
 //!   instead of buffering without bound), and admission-control stalls
-//!   surfaced as `STALLED`/`RESUMED` frames.
+//!   surfaced as `STALLED`/`RESUMED` frames. The loop is wake-driven: it
+//!   blocks until a socket is ready or a runtime worker has results for
+//!   it, so output leaves when it is produced and an idle server is idle.
 //! * [`client`] — a small blocking [`Client`] for tests, benches and
 //!   examples.
 //!
@@ -61,6 +64,8 @@ pub mod server;
 pub use client::{Client, Outcome, ServerMsg};
 #[cfg(unix)]
 pub use poller::SysPoller;
-pub use poller::{default_poller, Interest, Poller, Readiness, ScanPoller, Token};
+pub use poller::{
+    default_poller, Interest, PollWaker, Poller, Readiness, ScanPoller, Token, WAKER,
+};
 pub use protocol::{DecodePoll, ErrorCode, FrameDecoder, FrameError, FrameKind, StallReason};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -43,6 +43,17 @@ pub(crate) struct ServeMetrics {
     /// scrapes answered.
     pub(crate) scrapes_wire: Arc<Counter>,
     pub(crate) scrapes_http: Arc<Counter>,
+    /// `flux_serve_loop_wakeups_total{cause=..}` — who ended the loop's
+    /// wait: `socket` counts poll returns that reported a listener or
+    /// connection ready, `runtime` those that reported the waker (one
+    /// return can count under both).
+    pub(crate) wakeups_socket: Arc<Counter>,
+    pub(crate) wakeups_runtime: Arc<Counter>,
+    /// `flux_runtime_notifies_total{result=..}` — the output buffers' share
+    /// of the runtime notifier's traffic (a full `RESULT` frame pending);
+    /// the workers count theirs under the same name on their own shards.
+    notifies_fired: Arc<Counter>,
+    notifies_coalesced: Arc<Counter>,
     /// `flux_serve_frames_total{dir="in",kind=..}` in wire-tag order of
     /// the client→server kinds.
     frames_in: [Arc<Counter>; 7],
@@ -110,6 +121,10 @@ impl ServeMetrics {
             write_parks: shard.counter("flux_serve_write_parks_total"),
             scrapes_wire: shard.counter("flux_serve_scrapes_total{via=\"wire\"}"),
             scrapes_http: shard.counter("flux_serve_scrapes_total{via=\"http\"}"),
+            wakeups_socket: shard.counter("flux_serve_loop_wakeups_total{cause=\"socket\"}"),
+            wakeups_runtime: shard.counter("flux_serve_loop_wakeups_total{cause=\"runtime\"}"),
+            notifies_fired: shard.counter("flux_runtime_notifies_total{result=\"fired\"}"),
+            notifies_coalesced: shard.counter("flux_runtime_notifies_total{result=\"coalesced\"}"),
             frames_in: IN_KINDS.map(|k| frame("in", k)),
             frames_out: OUT_KINDS.map(|k| frame("out", k)),
             shard,
@@ -124,6 +139,15 @@ impl ServeMetrics {
         };
         if let Some(i) = kinds.iter().position(|&k| k == kind) {
             counters[i].inc();
+        }
+    }
+
+    /// Count one firing of the runtime notifier by an output buffer.
+    pub(crate) fn note_notify(&self, fired: bool) {
+        if fired {
+            self.notifies_fired.inc();
+        } else {
+            self.notifies_coalesced.inc();
         }
     }
 

@@ -1,15 +1,25 @@
 //! The server: many TCP connections multiplexed onto one
 //! [`flux::Runtime`].
 //!
-//! One thread owns all the sockets. Each tick ([`Server::step`]) it polls
-//! the [`Poller`] for readiness, accepts new connections, decodes inbound
-//! frames into runtime commands (`OPEN` → [`Runtime::open`], `CHUNK` →
-//! [`Runtime::feed`], …), drains the runtime's completion/flow-control
-//! events back into outbound frames, moves engine output from the
-//! per-session [`SharedOut`] buffers into `RESULT` frames, and flushes
-//! write buffers. The engine itself executes on the runtime's worker
-//! threads; the server thread only shovels bytes — which is why a single
-//! poll loop drives thousands of connections.
+//! One thread owns all the sockets, and it is wake-driven end to end: it
+//! blocks in the [`Poller`] with no timeout and runs one pass
+//! ([`Server::step`]) per wake-up — accepts new connections, decodes
+//! inbound frames into runtime commands (`OPEN` → [`Runtime::open`],
+//! `CHUNK` → [`Runtime::feed`], …), drains the runtime's
+//! completion/flow-control events back into outbound frames, moves engine
+//! output from the per-session [`SharedOut`] buffers into `RESULT` frames,
+//! and flushes write buffers. The engine itself executes on the runtime's
+//! worker threads; the server thread only shovels bytes — which is why a
+//! single poll loop drives thousands of connections.
+//!
+//! Two things end the wait: a socket turning ready, and the poller's
+//! [`PollWaker`]. The runtime's workers reach the latter through the
+//! notifier this server hands the [`RuntimeBuilder`] — fired after every
+//! [`RuntimeEvent`], whenever a worker's mailbox runs dry with output
+//! possibly pending, and by an output buffer that fills a whole `RESULT`
+//! frame — so a result leaves when it is ready, not when the next chunk
+//! happens to arrive; shutdown uses the same handle. An idle server makes
+//! no system calls at all.
 //!
 //! Shared fan-out composes with all of it: a client sending several
 //! `OPEN`s before its first `CHUNK` gets them compiled (through a
@@ -36,11 +46,11 @@ use flux::{
     MetricsRegistry, QueryRegistry, Runtime, RuntimeBuilder, RuntimeEvent, RuntimeId, StallCause,
     SubscriptionSet, TraceEvent, Tracer,
 };
-use flux_engine::BudgetHook;
+use flux_engine::{BudgetHook, EdgeWaker};
 
-use crate::conn::{Conn, ConnState, FrameSink, ReadPass, SharedOut};
+use crate::conn::{Conn, ConnState, FrameSink, OutputWake, ReadPass, SharedOut};
 use crate::metrics::{Dir, ServeMetrics};
-use crate::poller::{default_poller, Interest, Poller, Readiness, Token};
+use crate::poller::{default_poller, Interest, PollWaker, Poller, Readiness, Token, WAKER};
 use crate::protocol::{DecodePoll, ErrorCode, FrameKind, StallReason};
 
 /// Tuning knobs for a [`Server`].
@@ -60,9 +70,6 @@ pub struct ServerConfig {
     pub outbuf_high_water: usize,
     /// Largest `RESULT` frame payload the server emits.
     pub result_frame_max: usize,
-    /// Readiness poll granularity — also the latency floor for runtime
-    /// events landing while every socket is quiet.
-    pub poll_timeout: Duration,
     /// Where `SNAPSHOT` frames persist suspended runs (the envelope: query
     /// ids + the session's `flux-state` bytes). `None` disables the
     /// suspend/resume frames — a `SNAPSHOT` is answered with an `ERROR`.
@@ -95,7 +102,6 @@ impl Default for ServerConfig {
             max_frame_payload: 1 << 20,
             outbuf_high_water: 256 << 10,
             result_frame_max: 32 << 10,
-            poll_timeout: Duration::from_millis(1),
             snapshot_dir: None,
             metrics: None,
             tracer: None,
@@ -132,6 +138,26 @@ pub struct Server {
     next_snap: u64,
     scratch: Vec<u8>,
     readiness: Vec<Readiness>,
+    /// Ends the poller's wait from another thread (shutdown; and, wrapped
+    /// in the notifier, the runtime's workers).
+    waker: PollWaker,
+    /// The runtime→server notifier and what output buffers need to fire it
+    /// — shared by every connection's output seams.
+    ///
+    /// The wake protocol. Producers (workers, output buffers) make their
+    /// state visible *first* — the event is on the channel, the bytes are
+    /// in the buffer — and *then* `fire` the notifier; an armed notifier
+    /// wakes the poller and disarms, an unarmed one does nothing. This
+    /// thread arms it once at bind time and then again on every pass
+    /// *before* draining events and output. No wake-up is lost: a `fire`
+    /// that finds the notifier unarmed is ordered (both are
+    /// read-modify-writes of one flag) before this thread's next `arm`,
+    /// which precedes a drain that therefore sees what was produced; a
+    /// `fire` that finds it armed wakes the poller, whose wake is sticky
+    /// until observed, so the pass after the current one drains it. And
+    /// none is wasted: between two passes the notifier disarms at most
+    /// once, so a burst of any size costs one poller wake-up.
+    output_wake: Arc<OutputWake>,
 }
 
 impl Server {
@@ -141,7 +167,7 @@ impl Server {
         registry: QueryRegistry,
         cfg: ServerConfig,
     ) -> io::Result<Server> {
-        Server::bind_with_poller(addr, registry, cfg, default_poller())
+        Server::bind_with_poller(addr, registry, cfg, default_poller()?)
     }
 
     /// Bind with an explicit poller backend (the epoll/io_uring seam).
@@ -153,7 +179,15 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let mut builder = RuntimeBuilder::new(cfg.shards);
+        let waker = poller.waker();
+        let notifier = {
+            let waker = waker.clone();
+            EdgeWaker::new(move || waker.wake())
+        };
+        // Armed from the start: the first pass begins with a wait, not a
+        // drain, so whatever is produced before it must be able to wake it.
+        notifier.arm();
+        let mut builder = RuntimeBuilder::new(cfg.shards).notifier(Arc::clone(&notifier));
         if let Some(hook) = &cfg.budget {
             builder = builder.budget(Arc::clone(hook));
         }
@@ -165,6 +199,8 @@ impl Server {
         }
         let runtime = builder.build();
         let metrics = cfg.metrics.as_ref().map(|r| ServeMetrics::register(r, cfg.shards));
+        let output_wake =
+            Arc::new(OutputWake { notifier, frame_max: cfg.result_frame_max, metrics });
         poller.register(LISTENER, raw_handle_listener(&listener), Interest::READ);
         let admin = match &cfg.admin {
             Some(addr) => {
@@ -181,7 +217,7 @@ impl Server {
             poller,
             runtime,
             registry,
-            metrics,
+            metrics: output_wake.metrics.clone(),
             cfg,
             conns: HashMap::new(),
             by_session: HashMap::new(),
@@ -190,6 +226,8 @@ impl Server {
             next_snap: 0,
             scratch: vec![0; 16 << 10],
             readiness: Vec::new(),
+            waker,
+            output_wake,
         })
     }
 
@@ -218,8 +256,16 @@ impl Server {
         self.run_until(|| false)
     }
 
-    /// Serve until `stop` returns true (checked once per tick, so shutdown
-    /// latency is one poll timeout).
+    /// A handle that wakes the loop from another thread — what a
+    /// [`Server::run_until`] caller pairs its stop condition with.
+    pub fn waker(&self) -> PollWaker {
+        self.waker.clone()
+    }
+
+    /// Serve until `stop` returns true. `stop` is checked after every
+    /// pass, and a pass begins only when something wakes the loop: flip
+    /// the condition, *then* [`wake`](PollWaker::wake) the
+    /// [`Server::waker`], or an idle server never looks.
     pub fn run_until(&mut self, stop: impl Fn() -> bool) -> io::Result<()> {
         while !stop() {
             self.step()?;
@@ -237,32 +283,47 @@ impl Server {
         let mut server = Server::bind(addr, registry, cfg)?;
         let addr = server.local_addr()?;
         let admin_addr = server.admin_addr();
+        let waker = server.waker();
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name("flux-serve".into())
-            .spawn(move || server.run_until(|| stop_flag.load(Ordering::Relaxed)))
+            .spawn(move || server.run_until(|| stop_flag.load(Ordering::SeqCst)))
             .expect("spawn server thread");
-        Ok(ServerHandle { addr, admin_addr, stop, join: Some(join) })
+        Ok(ServerHandle { addr, admin_addr, stop, waker, join: Some(join) })
     }
 
-    /// One event-loop tick: poll readiness, do all I/O that is ready, pump
-    /// runtime events and session output, flush writes.
+    /// One pass of the event loop: wait (indefinitely) for a socket or the
+    /// waker, do all I/O that is ready, pump runtime events and session
+    /// output, flush writes.
     pub fn step(&mut self) -> io::Result<()> {
         let mut readiness = std::mem::take(&mut self.readiness);
         readiness.clear();
-        self.poller.poll(&mut readiness, self.cfg.poll_timeout)?;
+        self.poller.poll(&mut readiness, None)?;
+        if let Some(m) = &self.metrics {
+            // Counted before dispatch, so a scrape sees the pass serving it.
+            if readiness.iter().any(|r| r.token != WAKER) {
+                m.wakeups_socket.inc();
+            }
+            if readiness.iter().any(|r| r.token == WAKER) {
+                m.wakeups_runtime.inc();
+            }
+        }
         for r in &readiness {
             if r.token == LISTENER {
                 self.accept_ready();
             } else if r.token == ADMIN {
                 self.admin_ready();
+            } else if r.token == WAKER {
+                // Nothing to read: the pumps below are the response.
             } else if r.readable {
                 self.read_ready(r.token);
             }
             // Writability is consumed by the flush pass below.
         }
         self.readiness = readiness;
+        // Arm, then drain — in that order, every pass (see `output_wake`).
+        self.output_wake.notifier.arm();
         self.pump_runtime_events();
         self.pump_session_output();
         self.flush_and_sweep();
@@ -287,7 +348,11 @@ impl Server {
                     if let Some(t) = &self.cfg.tracer {
                         t.emit(TraceEvent::ConnOpen);
                     }
-                    let conn = Conn::new(stream, self.cfg.max_frame_payload, self.metrics.clone());
+                    let conn = Conn::new(
+                        stream,
+                        self.cfg.max_frame_payload,
+                        Arc::clone(&self.output_wake),
+                    );
                     self.conns.insert(token, conn);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -302,7 +367,7 @@ impl Server {
         loop {
             let t = self.next_token;
             self.next_token = self.next_token.wrapping_add(1).max(ADMIN + 1);
-            if !self.conns.contains_key(&t) {
+            if t != WAKER && !self.conns.contains_key(&t) {
                 return t;
             }
         }
@@ -779,7 +844,7 @@ fn seal(
             conn.state = ConnState::Rejected;
             return None;
         };
-        let shared = SharedOut::new();
+        let shared = SharedOut::new(&conn.output_wake);
         let id = runtime.open(&q, FrameSink(Arc::clone(&shared)));
         conn.shared = Some(shared);
         conn.run_ids = ids;
@@ -796,7 +861,8 @@ fn seal(
             return None;
         }
     };
-    let outs: Vec<Arc<SharedOut>> = (0..ids.len()).map(|_| SharedOut::new()).collect();
+    let outs: Vec<Arc<SharedOut>> =
+        (0..ids.len()).map(|_| SharedOut::new(&conn.output_wake)).collect();
     let sinks = outs.iter().map(|o| FrameSink(Arc::clone(o))).collect();
     let id = runtime.open_shared(&set, sinks);
     conn.multi = outs;
@@ -916,7 +982,7 @@ fn resume_run(
             );
             return;
         };
-        let shared = SharedOut::new();
+        let shared = SharedOut::new(&conn.output_wake);
         runtime.attach(&q, FrameSink(Arc::clone(&shared)), state).inspect(|_| {
             conn.shared = Some(shared);
         })
@@ -928,7 +994,8 @@ fn resume_run(
                 return;
             }
         };
-        let outs: Vec<Arc<SharedOut>> = (0..ids.len()).map(|_| SharedOut::new()).collect();
+        let outs: Vec<Arc<SharedOut>> =
+            (0..ids.len()).map(|_| SharedOut::new(&conn.output_wake)).collect();
         let sinks = outs.iter().map(|o| Some(FrameSink(Arc::clone(o)))).collect();
         runtime.attach_shared(&set, sinks, state).inspect(|_| {
             conn.multi = outs;
@@ -1057,6 +1124,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
     stop: Arc<AtomicBool>,
+    waker: PollWaker,
     join: Option<std::thread::JoinHandle<io::Result<()>>>,
 }
 
@@ -1071,10 +1139,18 @@ impl ServerHandle {
         self.admin_addr
     }
 
+    /// Raise the stop flag, then wake the loop so it looks: the server
+    /// blocks without a timeout, and an idle one would otherwise never see
+    /// the flag.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+
     /// Stop the loop and join the thread, surfacing any I/O error the loop
     /// died with.
     pub fn shutdown(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::Relaxed);
+        self.request_stop();
         match self.join.take() {
             Some(join) => join.join().expect("server thread panicked"),
             None => Ok(()),
@@ -1084,7 +1160,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.request_stop();
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }

@@ -125,6 +125,51 @@ fn stats_mid_run_gauges_and_final_counters_match_summed_done_stats() {
 }
 
 #[test]
+fn loop_wakeup_and_notify_counters_say_who_woke_the_loop() {
+    let metrics = MetricsRegistry::new();
+    let cfg = ServerConfig { metrics: Some(metrics.clone()), ..ServerConfig::default() };
+    let server = Server::spawn("127.0.0.1:0", registry(), cfg).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // All four series exist from the start, so dashboards never see a gap.
+    let text = client.scrape().unwrap();
+    for series in [
+        "flux_serve_loop_wakeups_total{cause=\"socket\"}",
+        "flux_serve_loop_wakeups_total{cause=\"runtime\"}",
+        "flux_runtime_notifies_total{result=\"fired\"}",
+        "flux_runtime_notifies_total{result=\"coalesced\"}",
+    ] {
+        assert!(text.lines().any(|l| l.starts_with(series)), "{series} missing: {text}");
+    }
+    assert!(
+        family_sum(&text, "flux_serve_loop_wakeups_total{cause=\"socket\"}") >= 1.0,
+        "the scrape's own pass is counted: {text}"
+    );
+
+    for books in [1, 17, 50] {
+        let out = client.run_document("books", doc(books).as_bytes(), 64).unwrap();
+        assert!(out.done.is_some());
+    }
+
+    // Every wake-up of the loop through its waker was paid for by a fired
+    // notification (several can share one wake-up, never the reverse). The
+    // worker counts a firing just after making it, so give the last one a
+    // moment to land.
+    let mut last = String::new();
+    wait_for("the notify bookkeeping to settle", || {
+        last = client.scrape().unwrap();
+        let fired = family_sum(&last, "flux_runtime_notifies_total{result=\"fired\"}");
+        let by_runtime = family_sum(&last, "flux_serve_loop_wakeups_total{cause=\"runtime\"}");
+        by_runtime >= 3.0 && by_runtime <= fired
+    });
+    // A notification is attempted at least once per completion event; the
+    // ones that found the loop already awake were coalesced, not dropped.
+    let attempts = family_sum(&last, "flux_runtime_notifies_total");
+    assert!(attempts >= 3.0, "{last}");
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn admin_listener_answers_http_with_the_prometheus_exposition() {
     let metrics = MetricsRegistry::new();
     let cfg = ServerConfig {

@@ -190,7 +190,7 @@ pub mod prelude {
     pub use flux_baseline::{DomEngine, PreparedDomQuery, ProjectionMode};
     pub use flux_core::{rewrite_query, FluxExpr, Handler};
     pub use flux_dtd::Dtd;
-    pub use flux_engine::{BudgetHook, BudgetWaker, Pump, RunOutcome, RunStats};
+    pub use flux_engine::{BudgetHook, BudgetWaker, EdgeWaker, Pump, RunOutcome, RunStats};
     pub use flux_obs::{MetricsRegistry, StallCause, TraceBuffer, TraceEvent, Tracer};
     pub use flux_query::{parse_xquery, Expr};
     pub use flux_xml::{Node, Reader, Sink, StringSink};

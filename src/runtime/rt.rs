@@ -47,6 +47,17 @@
 //! moment the pool frees. The [`RuntimeEvent::Stalled`] /
 //! [`RuntimeEvent::Resumed`] notifications exist for observability and
 //! source-side flow control.
+//!
+//! The same edge-triggered idiom runs in the other direction. A front-end
+//! that cannot block in [`Runtime::wait_event`] — a server thread asleep in
+//! its socket poller — hands the builder one [`EdgeWaker`]
+//! ([`RuntimeBuilder::notifier`]); workers fire it after every
+//! [`RuntimeEvent`] they enqueue and whenever their mailbox runs dry after
+//! processing commands ("flush on idle": the sinks may hold output no event
+//! announces). The front-end arms the waker *before* it drains events and
+//! sink output, so a fire that finds it unarmed is already covered by the
+//! drain about to happen, and a whole burst costs one notification. Without
+//! a notifier nothing changes: no flag is touched, no callback runs.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -57,7 +68,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use flux_engine::{
-    BudgetHook, BudgetObserver, BudgetWaker, CompiledQuery, FanoutPlan, ObservedHook, RunStats,
+    BudgetHook, BudgetObserver, BudgetWaker, CompiledQuery, EdgeWaker, FanoutPlan, ObservedHook,
+    RunStats,
 };
 use flux_obs::{Counter, Gauge, Histogram, MetricsRegistry, StallCause, TraceEvent, Tracer};
 use flux_xml::Sink;
@@ -297,12 +309,20 @@ pub struct RuntimeBuilder {
     suspend: Option<SuspendPolicy>,
     metrics: Option<MetricsRegistry>,
     tracer: Option<Arc<dyn Tracer>>,
+    notifier: Option<Arc<EdgeWaker>>,
 }
 
 impl RuntimeBuilder {
     /// A builder for a runtime with `shards` worker threads.
     pub fn new(shards: usize) -> RuntimeBuilder {
-        RuntimeBuilder { shards, budget: None, suspend: None, metrics: None, tracer: None }
+        RuntimeBuilder {
+            shards,
+            budget: None,
+            suspend: None,
+            metrics: None,
+            tracer: None,
+            notifier: None,
+        }
     }
 
     /// Charge every session against this [`AdmissionController`].
@@ -339,6 +359,24 @@ impl RuntimeBuilder {
     /// costs one branch per would-be event.
     pub fn tracer(mut self, tracer: Arc<dyn Tracer>) -> RuntimeBuilder {
         self.tracer = Some(tracer);
+        self
+    }
+
+    /// Fire `waker` whenever the runtime has something for its owner: after
+    /// every [`RuntimeEvent`] a worker enqueues, and whenever a worker's
+    /// mailbox runs dry after it processed commands (sinks may then hold
+    /// output that no event announces). For front-ends that sleep somewhere
+    /// other than [`Runtime::wait_event`] — the waker's callback is what
+    /// reaches them (an `eventfd` write, a condvar signal).
+    ///
+    /// The owner's half of the protocol: [`arm`](EdgeWaker::arm) the waker
+    /// *before* draining [`Runtime::poll_events`] and the sinks, every
+    /// time, and once before first blocking. A fire that finds the waker
+    /// unarmed is then always followed by a drain that sees what was
+    /// produced, so notifications coalesce (one callback per burst) and
+    /// none is lost.
+    pub fn notifier(mut self, waker: Arc<EdgeWaker>) -> RuntimeBuilder {
+        self.notifier = Some(waker);
         self
     }
 
@@ -391,6 +429,8 @@ struct ShardMetrics {
     output_bytes: Arc<Counter>,
     tape_batches: Arc<Counter>,
     fast_forwards: Arc<Counter>,
+    notifies_fired: Arc<Counter>,
+    notifies_coalesced: Arc<Counter>,
 }
 
 impl ShardMetrics {
@@ -413,6 +453,8 @@ impl ShardMetrics {
             output_bytes: s.counter("flux_engine_output_bytes_total"),
             tape_batches: s.counter("flux_engine_tape_batches_total"),
             fast_forwards: s.counter("flux_engine_fast_forwards_total"),
+            notifies_fired: s.counter("flux_runtime_notifies_total{result=\"fired\"}"),
+            notifies_coalesced: s.counter("flux_runtime_notifies_total{result=\"coalesced\"}"),
         }
     }
 
@@ -500,7 +542,7 @@ impl<S: Sink + Send + 'static> Runtime<S> {
     }
 
     fn build(cfg: RuntimeBuilder) -> Runtime<S> {
-        let RuntimeBuilder { shards, budget, suspend, metrics, tracer } = cfg;
+        let RuntimeBuilder { shards, budget, suspend, metrics, tracer, notifier } = cfg;
         assert!(shards > 0, "a Runtime needs at least one shard");
         let tracer = tracer.or_else(default_tracer);
         // With metrics on, the configured hook is wrapped so every
@@ -552,6 +594,7 @@ impl<S: Sink + Send + 'static> Runtime<S> {
                     suspend: suspend.clone(),
                     metrics: metrics.as_ref().map(|m| ShardMetrics::register(m, i)),
                     tracer: tracer.clone(),
+                    notifier: notifier.clone(),
                 };
                 let handle = std::thread::Builder::new()
                     .name(format!("flux-shard-{i}"))
@@ -822,9 +865,10 @@ impl<S: Sink + Send + 'static> Runtime<S> {
         Ok(RuntimeId { slot, gen })
     }
 
-    /// Drain every event the workers have produced so far (non-blocking).
+    /// Drain every event the workers have produced so far (non-blocking;
+    /// an empty drain allocates nothing).
     pub fn poll_events(&mut self) -> Vec<RuntimeEvent<S>> {
-        self.poll_events_stamped().into_iter().map(|(_, ev)| ev).collect()
+        self.drain_events(|(_, ev)| ev)
     }
 
     /// Like [`Runtime::poll_events`], with each event's enqueue timestamp
@@ -834,9 +878,16 @@ impl<S: Sink + Send + 'static> Runtime<S> {
     /// stamp — unaffected by how late the caller polls; the runtime's own
     /// `flux_runtime_stall_duration_us` histogram measures the same span.
     pub fn poll_events_stamped(&mut self) -> Vec<(Instant, RuntimeEvent<S>)> {
-        let evs: Vec<_> = self.events.try_iter().collect();
-        for (_, ev) in &evs {
-            self.retire(ev);
+        self.drain_events(|stamped| stamped)
+    }
+
+    /// One pass over the event channel: retire each event's slot, keep
+    /// what `keep` makes of it.
+    fn drain_events<T>(&mut self, keep: impl Fn((Instant, RuntimeEvent<S>)) -> T) -> Vec<T> {
+        let mut evs = Vec::new();
+        while let Ok(stamped) = self.events.try_recv() {
+            self.retire(&stamped.1);
+            evs.push(keep(stamped));
         }
         evs
     }
@@ -1107,12 +1158,32 @@ struct WorkerCtx<S: Sink> {
     suspend: Option<SuspendPolicy>,
     metrics: Option<ShardMetrics>,
     tracer: Option<Arc<dyn Tracer>>,
+    notifier: Option<Arc<EdgeWaker>>,
 }
 
 impl<S: Sink> WorkerCtx<S> {
-    /// Emit one runtime event, stamped with its enqueue [`Instant`].
+    /// Emit one runtime event, stamped with its enqueue [`Instant`], and
+    /// tell the owner it is there.
     fn send(&self, ev: RuntimeEvent<S>) {
         let _ = self.events.send((Instant::now(), ev));
+        self.notify();
+    }
+
+    /// Fire the owner's notifier, if one is configured — always *after*
+    /// the state it announces is in place (the event is on the channel, the
+    /// output is in the sink), which is what the owner's arm-then-drain
+    /// relies on.
+    fn notify(&self) {
+        if let Some(notifier) = &self.notifier {
+            let fired = notifier.fire();
+            if let Some(m) = &self.metrics {
+                if fired {
+                    m.notifies_fired.inc();
+                } else {
+                    m.notifies_coalesced.inc();
+                }
+            }
+        }
     }
 
     /// Emit one trace event if a tracer is attached — the inlined `None`
@@ -1184,7 +1255,19 @@ fn worker_loop<S: Sink + Send + 'static>(
     let mut sessions: HashMap<u32, Entry<S>> = HashMap::new();
     let mut stalled: Vec<u32> = Vec::new();
     let mut last_sweep = Instant::now();
+    // Commands ran since the owner was last told: sinks may hold output
+    // that no event announced.
+    let mut unflushed = false;
     loop {
+        // Flush on idle: about to sleep on an empty mailbox with work done
+        // since the last notification. Telling the owner per burst rather
+        // than per command is what keeps a busy mailbox cheap. (`depth`
+        // counts sends *before* they land, so a command in flight defers
+        // the flush to the iteration that processes it.)
+        if unflushed && ctx.depth.load(Ordering::Relaxed) == 0 {
+            unflushed = false;
+            ctx.notify();
+        }
         let cmd = if stalled.is_empty() {
             match wait(&rx, &ctx.suspend) {
                 Ok(c) => c,
@@ -1204,6 +1287,7 @@ fn worker_loop<S: Sink + Send + 'static>(
             waker.arm();
             if retry_pass(&mut sessions, &mut stalled, hook.as_ref(), &ctx) {
                 waker.disarm();
+                unflushed = true;
                 None
             } else {
                 match wait(&rx, &ctx.suspend) {
@@ -1217,6 +1301,7 @@ fn worker_loop<S: Sink + Send + 'static>(
         };
         if cmd.is_some() {
             ctx.depth.fetch_sub(1, Ordering::Relaxed);
+            unflushed = true;
         }
         match cmd {
             Some(Cmd::Open { slot, gen, session }) => {
@@ -1463,7 +1548,7 @@ fn worker_loop<S: Sink + Send + 'static>(
         // Budget may have freed (here or on another worker): retry stalled
         // sessions. Cheap when nothing changed — the admission gate is one
         // atomic read per stalled session.
-        retry_pass(&mut sessions, &mut stalled, hook.as_ref(), &ctx);
+        unflushed |= retry_pass(&mut sessions, &mut stalled, hook.as_ref(), &ctx);
         if let Some(policy) = ctx.suspend.clone() {
             sweep(&policy, &mut last_sweep, &mut sessions, &ctx);
         }
@@ -2278,6 +2363,99 @@ mod tests {
         }
         let evs = rt.drain();
         assert_eq!(evs.len(), 9);
+    }
+
+    /// A sink the test can read while the session runs.
+    #[derive(Debug)]
+    struct Tee(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Sink for Tee {
+        fn write_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(())
+        }
+        fn flush_sink(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn notifier_announces_events_and_idle_flushes_and_stays_quiet_when_idle() {
+        let engine = Engine::builder().dtd_str(DTD).build().unwrap();
+        let q = engine.prepare(QUERY).unwrap();
+        let d = doc(5);
+        let reference = q.run_str(&d).unwrap().output;
+        // Everything up to the first book's end tag: enough input to
+        // determine a prefix of the output, with the run still open.
+        let cut = d.find("</book>").unwrap();
+        let early = reference.find("</result>").unwrap();
+
+        let (wake_tx, wake_rx) = channel();
+        let waker = EdgeWaker::new(move || {
+            let _ = wake_tx.send(());
+        });
+        let mut rt: Runtime<Tee> = RuntimeBuilder::new(1).notifier(Arc::clone(&waker)).build();
+        let out = Arc::new(std::sync::Mutex::new(Vec::new()));
+        // The owner's half of the protocol: arm, drain, and only then
+        // sleep. A lost wakeup shows as the timeout, not as a hang.
+        let owner_loop =
+            |rt: &mut Runtime<Tee>, done: &mut dyn FnMut(&mut Runtime<Tee>) -> bool| loop {
+                waker.arm();
+                if done(rt) {
+                    return;
+                }
+                wake_rx.recv_timeout(Duration::from_secs(30)).expect("lost wakeup");
+            };
+
+        // Idle runtime, armed waker: silence.
+        waker.arm();
+        assert!(wake_rx.recv_timeout(Duration::from_millis(50)).is_err(), "fired while idle");
+
+        // Output with no event behind it is announced by the idle flush.
+        let id = rt.open(&q, Tee(Arc::clone(&out)));
+        rt.feed(id, &d.as_bytes()[..cut]);
+        let mut events = 0;
+        owner_loop(&mut rt, &mut |rt| {
+            events += rt.poll_events().len();
+            out.lock().unwrap().len() >= early
+        });
+        assert_eq!(events, 0, "no event announced that output");
+
+        // A completion event is announced, and is on the channel by the
+        // time the notification lands.
+        rt.feed(id, &d.as_bytes()[cut..]);
+        rt.finish(id);
+        let mut finished = false;
+        owner_loop(&mut rt, &mut |rt| {
+            for ev in rt.poll_events() {
+                match ev {
+                    RuntimeEvent::Finished { result, .. } => {
+                        result.unwrap();
+                        finished = true;
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            finished
+        });
+        assert_eq!(out.lock().unwrap().as_slice(), reference.as_bytes());
+
+        // Quiescent again: let the worker's last idle flush (if it is still
+        // due) land, then an armed waker stays silent.
+        while wake_rx.recv_timeout(Duration::from_millis(50)).is_ok() {
+            waker.arm();
+        }
+        assert!(waker.is_armed());
+        assert!(wake_rx.recv_timeout(Duration::from_millis(50)).is_err(), "fired while idle");
+        assert!(rt.drain().is_empty());
+    }
+
+    #[test]
+    fn poll_events_on_an_empty_channel_allocates_nothing() {
+        let mut rt: Runtime<StringSink> = Runtime::new(1);
+        assert_eq!(rt.poll_events().capacity(), 0);
+        assert_eq!(rt.poll_events_stamped().capacity(), 0);
+        let _ = rt.drain();
     }
 
     #[test]
