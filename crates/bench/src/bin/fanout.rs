@@ -9,7 +9,9 @@
 //! swamp the parse share this benchmark isolates) over an XMark document,
 //! and records both modes plus the speedup under the `"fanout"` key of
 //! `BENCH_throughput.json` (shared marker protocol — the bench bins run in
-//! any order).
+//! any order). The subscribers cycle three queries, so beyond M = 3 every
+//! further one joins an existing *plan class*: the shared side runs three
+//! pumps however large M is, and the ratio measures that saving too.
 //!
 //! Both modes run the same facade path (incremental sessions fed in equal
 //! chunks) and are verified against the one-shot reference stats, so the

@@ -23,7 +23,7 @@ use crate::bufplan::{visit_atoms, BufferTree, Mark, RtTree};
 use crate::flags::FlagSpec;
 
 /// Errors raised while compiling or running a query.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum EngineError {
     /// XML parse failure on the input stream.
     Xml(XmlError),

@@ -281,6 +281,16 @@ impl<S: Sink> Pump<S> {
         &self.plan
     }
 
+    /// The sink this pump writes to.
+    pub fn sink(&self) -> &S {
+        self.st.writer.get_ref()
+    }
+
+    /// The sink, mutably (see [`Writer::get_mut`]).
+    pub fn sink_mut(&mut self) -> &mut S {
+        self.st.writer.get_mut()
+    }
+
     /// Serialize the pump's complete resumable state (the `flux_state` PUMP
     /// section payload). Only *quiescent* pumps snapshot — the state between
     /// two `feed_event` calls, which is the only state a session layer can
@@ -327,7 +337,7 @@ impl<S: Sink> Pump<S> {
     }
 }
 
-fn io_err(e: std::io::Error) -> EngineError {
+pub(crate) fn io_err(e: std::io::Error) -> EngineError {
     EngineError::Eval(flux_query::eval::EvalError::Io(e.to_string()))
 }
 

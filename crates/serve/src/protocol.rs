@@ -48,7 +48,10 @@
 //! shared mode every `RESULT`, `DONE` and `ERROR` payload is prefixed with
 //! a 4-byte big-endian subscriber index (the position of the `OPEN` that
 //! created it), each subscriber getting its own result stream, terminal
-//! status and counters. `STALLED`/`RESUMED` stay connection-level — the
+//! status and counters. `OPEN`s that name the same query are still
+//! separate subscribers on the wire, but the server evaluates, buffers and
+//! budget-charges their plan once and copies the output to each.
+//! `STALLED`/`RESUMED` stay connection-level — the
 //! shared parse pauses as a whole. `ABORT` before the terminal frames
 //! drops the whole run and is acknowledged with one tagged aborted-`DONE`
 //! per subscriber.

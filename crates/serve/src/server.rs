@@ -24,9 +24,10 @@
 //! Shared fan-out composes with all of it: a client sending several
 //! `OPEN`s before its first `CHUNK` gets them compiled (through a
 //! catalog-validated [`SubscriptionSet`] cache) into **one** shared
-//! session — the document is parsed once for all of them and every
-//! subscriber's `RESULT`/`DONE`/`ERROR` frames come back tagged with its
-//! subscriber index.
+//! session — the document is parsed once for all of them, each distinct
+//! plan among them is evaluated once, and every subscriber's
+//! `RESULT`/`DONE`/`ERROR` frames come back tagged with its subscriber
+//! index.
 //!
 //! Admission control composes: configure a budget
 //! ([`ServerConfig::budget`]) and sessions that would outgrow the shared

@@ -170,6 +170,40 @@ fn loop_wakeup_and_notify_counters_say_who_woke_the_loop() {
 }
 
 #[test]
+fn a_multi_open_of_one_id_counts_two_subscribers_on_one_pump() {
+    let metrics = MetricsRegistry::new();
+    let cfg = ServerConfig { metrics: Some(metrics.clone()), ..ServerConfig::default() };
+    let server = Server::spawn("127.0.0.1:0", registry(), cfg).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // Both series exist before any shared session ran.
+    let text = client.scrape().unwrap();
+    assert_eq!(family_sum(&text, "flux_engine_fanout_subscribers_total"), 0.0, "{text}");
+    assert_eq!(family_sum(&text, "flux_engine_fanout_pumps_total"), 0.0, "{text}");
+    assert!(text.contains("# TYPE flux_engine_fanout_pumps_total counter"), "{text}");
+
+    // Two OPENs of the same id: two subscribers, one plan class, one pump —
+    // and still one result (one `runs_total`) per subscriber.
+    let outs = client.run_document_shared(&["books", "books"], doc(9).as_bytes(), 48).unwrap();
+    assert_eq!(outs.len(), 2);
+    assert!(outs.iter().all(|o| o.done.is_some() && o.error.is_none()), "{outs:?}");
+    assert_eq!(outs[0].output, outs[1].output);
+
+    let text = client.scrape().unwrap();
+    assert_eq!(family_sum(&text, "flux_engine_fanout_subscribers_total"), 2.0, "{text}");
+    assert_eq!(family_sum(&text, "flux_engine_fanout_pumps_total"), 1.0, "{text}");
+    assert_eq!(family_sum(&text, "flux_engine_runs_total"), 2.0, "{text}");
+
+    // A single-query run moves neither.
+    client.run_document("books", doc(3).as_bytes(), 48).unwrap();
+    let text = client.scrape().unwrap();
+    assert_eq!(family_sum(&text, "flux_engine_fanout_subscribers_total"), 2.0, "{text}");
+    assert_eq!(family_sum(&text, "flux_engine_fanout_pumps_total"), 1.0, "{text}");
+    assert_eq!(family_sum(&text, "flux_engine_runs_total"), 3.0, "{text}");
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn admin_listener_answers_http_with_the_prometheus_exposition() {
     let metrics = MetricsRegistry::new();
     let cfg = ServerConfig {

@@ -30,6 +30,43 @@
 //! compatible with version-1 writers that append new optional sections.
 //! Anything that would change the meaning of existing sections must bump
 //! [`VERSION`].
+//!
+//! # The FANOUT payload
+//!
+//! A shared session runs one pump per *plan class* (the subscribers with
+//! an identical plan), so the payload is per-subscriber in shape and
+//! per-class in content:
+//!
+//! ```text
+//! slot-count            varint, = subscriptions of the plan
+//! slots                 slot-count × one of, in subscription order:
+//!                         0            live; its class is being fed;  + PUMP payload
+//!                         1 parked-at  live; its class is parked;     + PUMP payload
+//!                         2 message    failed (engine or sink error text)
+//!                         3            detached (aborted, sink handed back)
+//!                         4            live; served by the pump another slot
+//!                                      of its class carries
+//! feed list             count, then one subscription index per fed class
+//! wake buckets          count × (count, subscription indices), by wake depth
+//! depth, events         varints
+//! ```
+//!
+//! Tags 0 and 1 appear in the slot of a class's *first live member*; the
+//! other live members of the class write tag 4. Feed list and wake buckets
+//! name a class by the subscription index of its first member. A set
+//! without duplicate plans therefore never writes tag 4 and encodes
+//! byte-for-byte as it did when every subscriber ran its own pump (the
+//! golden `shared_v1.fsnap` pins that).
+//!
+//! Payloads written before plan classes existed, for a set *with*
+//! duplicates, carry tag 0/1 and a pump in every live slot and list every
+//! subscriber in the feed list. Identical plans over identical events are
+//! in identical states, so the reader keeps the first pump of each class,
+//! decodes and drops the rest (a pre-granted restore hands their share of
+//! the reservation back to the hook), and folds the feed list to classes.
+//! Inconsistent payloads — tag 4 in a class nobody carries, an index out of
+//! range, a class parked later than `events` — fail with
+//! [`StateError::Corrupt`].
 
 use std::fmt;
 
@@ -49,7 +86,8 @@ pub mod section {
     pub const READER: u8 = 2;
     /// Single-subscriber pump (scope stack, captures, observers, …).
     pub const PUMP: u8 = 3;
-    /// Shared fan-out driver: all M subscriber pumps + wake buckets.
+    /// Shared fan-out driver: M subscriber slots, one pump per plan class,
+    /// wake buckets — layout in the [crate docs](crate#the-fanout-payload).
     pub const FANOUT: u8 = 4;
     /// Aggregate budget charges (validated against the per-pump charges).
     pub const BUDGET: u8 = 5;

@@ -82,6 +82,18 @@ impl<S: Sink> Writer<S> {
         res
     }
 
+    /// The inner sink.
+    pub fn get_ref(&self) -> &S {
+        &self.out
+    }
+
+    /// The inner sink, mutably — for sinks with state of their own (the
+    /// fan-out tee's member list); writing to it directly would bypass the
+    /// byte counter.
+    pub fn get_mut(&mut self) -> &mut S {
+        &mut self.out
+    }
+
     /// Flush and return the inner sink.
     pub fn into_inner(mut self) -> io::Result<S> {
         self.out.flush_sink()?;

@@ -1,12 +1,13 @@
 //! Shared fan-out quickstart: M standing queries, one parse.
 //!
 //! Registers the paper's streaming XMark queries in a [`QueryRegistry`],
-//! compiles the whole registry into one [`SubscriptionSet`] (a merged
-//! product automaton with per-query accept sets over one shared symbol
-//! table), and streams a generated XMark document through a single
-//! [`SharedSession`] — every subscriber gets exactly the bytes its own
-//! independent run would have produced, but the document is tokenized and
-//! walked once.
+//! compiles one [`SubscriptionSet`] over them — one shared symbol table,
+//! subscriptions with an identical plan grouped into one *plan class* — and
+//! streams a generated XMark document through a single [`SharedSession`].
+//! Every subscriber gets exactly the bytes its own independent run would
+//! have produced, but the document is tokenized once and each distinct
+//! plan is evaluated once: the second subscriber to Q13 below costs a copy
+//! of Q13's output, not a second pump.
 //!
 //! ```text
 //! cargo run --example fanout
@@ -22,13 +23,17 @@ fn main() {
         registry.register(q.name, engine.prepare(q.source).expect("paper query compiles"));
     }
 
-    // One compile for the whole catalog. The set snapshots the registry:
-    // `is_current` flips to false if the registry is mutated later.
-    let set = SubscriptionSet::compile(&registry).expect("same engine, one shared plan");
-    println!("compiled {} subscriptions: {:?}", set.len(), set.ids());
+    // One compile for the whole catalog, plus a second client on Q13. The
+    // set snapshots the registry: `is_current` flips to false if the
+    // registry is mutated later.
+    let mut ids: Vec<&str> = registry.ids().collect();
+    ids.sort_unstable();
+    ids.push("Q13");
+    let set = SubscriptionSet::compile_subset(&registry, &ids).expect("same engine, one plan");
+    let classes = set.plan().classes();
+    println!("compiled {:?}: {} subscriptions → {} pumps", set.ids(), set.len(), classes.len());
     println!(
-        "  merged matcher: {} trie nodes, {} per-query plans reused as-is",
-        set.plan().matcher().node_count(),
+        "  plan classes (subscriber indices): {classes:?}, {} per-query plans reused as-is",
         set.plan().reused_plans(),
     );
 

@@ -7,12 +7,13 @@
 //! walked **once**, not M times. [`SubscriptionSet`] is that compile step
 //! at the facade level: it takes a [`QueryRegistry`] (or an explicit
 //! subset of it), unifies the per-query symbol tables over the shared DTD,
-//! and merges the per-query automata into one
-//! [`FanoutPlan`](flux_engine::FanoutPlan) with per-query accept sets.
+//! and groups subscriptions with an identical plan into *plan classes* of
+//! one [`FanoutPlan`](flux_engine::FanoutPlan).
 //! [`SubscriptionSet::session`] then opens a [`SharedSession`]: one
 //! incremental parse fanned out to M subscriptions, each with its own
-//! sink, its own statistics, its own budget charges and its own failure
-//! isolation.
+//! sink, its own statistics and its own failure isolation — and one pump,
+//! one set of buffers and one budget charge per *distinct* plan, so a query
+//! ten clients subscribed to is evaluated and buffered once.
 //!
 //! A compiled set is an immutable snapshot of the registry's catalog
 //! (which is copy-on-write): when the registry is later mutated,
@@ -56,9 +57,12 @@ impl SubscriptionSet {
         Self::compile_ids(registry, ids)
     }
 
-    /// Compile an explicit subset, preserving the given subscriber order
-    /// (duplicates allowed — e.g. two network clients opening the same
-    /// query id get distinct subscriptions).
+    /// Compile an explicit subset, preserving the given subscriber order.
+    /// Duplicates are allowed and normal — two network clients opening the
+    /// same query id get distinct subscriptions (own sink, own result, own
+    /// abort) served by one pump: subscriptions with an identical plan,
+    /// whether the same id or equal queries registered under two, form one
+    /// plan class ([`FanoutPlan::classes`]).
     pub fn compile_subset<I: AsRef<str>>(
         registry: &QueryRegistry,
         ids: &[I],
@@ -100,8 +104,8 @@ impl SubscriptionSet {
         self.ids.is_empty()
     }
 
-    /// The merged engine-level plan (union symbol table, shared matcher,
-    /// per-subscription compiled queries).
+    /// The engine-level plan (union symbol table, per-subscription compiled
+    /// queries, plan classes).
     pub fn plan(&self) -> &FanoutPlan {
         &self.plan
     }
@@ -122,10 +126,12 @@ impl SubscriptionSet {
         SharedSession::new(Arc::clone(&self.plan), sinks, None)
     }
 
-    /// A shared session whose subscribers all charge `budget` — see
+    /// A shared session charging `budget` — see
     /// [`PreparedQuery::session_with_budget`](crate::PreparedQuery::session_with_budget).
-    /// Each subscriber charges and releases independently, so aborting one
-    /// returns exactly its own bytes to the pool.
+    /// Each plan class charges its buffers once, however many subscribers
+    /// read them, and releases them when its last member finishes, fails or
+    /// is aborted: aborting the only subscriber of a plan returns exactly
+    /// its bytes to the pool, aborting one of several returns nothing yet.
     pub fn session_with_budget<S: Sink>(
         &self,
         sinks: Vec<S>,
@@ -155,7 +161,7 @@ impl SubscriptionSet {
     }
 
     /// [`SubscriptionSet::restore_session`] under admission control: each
-    /// subscriber's recorded charges are re-granted through `budget` before
+    /// plan class's recorded charges are re-granted through `budget` before
     /// the stream resumes (refusal fails the restore with
     /// [`flux_state::StateError::BudgetDenied`], charging nothing).
     pub fn restore_session_with_budget<S: Sink>(
@@ -172,7 +178,7 @@ impl std::fmt::Debug for SubscriptionSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubscriptionSet")
             .field("ids", &self.ids)
-            .field("matcher_nodes", &self.plan.matcher().node_count())
+            .field("classes", &self.plan.classes())
             .field("reused_plans", &self.plan.reused_plans())
             .finish()
     }

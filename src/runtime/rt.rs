@@ -429,6 +429,8 @@ struct ShardMetrics {
     output_bytes: Arc<Counter>,
     tape_batches: Arc<Counter>,
     fast_forwards: Arc<Counter>,
+    fanout_subscribers: Arc<Counter>,
+    fanout_pumps: Arc<Counter>,
     notifies_fired: Arc<Counter>,
     notifies_coalesced: Arc<Counter>,
 }
@@ -453,6 +455,8 @@ impl ShardMetrics {
             output_bytes: s.counter("flux_engine_output_bytes_total"),
             tape_batches: s.counter("flux_engine_tape_batches_total"),
             fast_forwards: s.counter("flux_engine_fast_forwards_total"),
+            fanout_subscribers: s.counter("flux_engine_fanout_subscribers_total"),
+            fanout_pumps: s.counter("flux_engine_fanout_pumps_total"),
             notifies_fired: s.counter("flux_runtime_notifies_total{result=\"fired\"}"),
             notifies_coalesced: s.counter("flux_runtime_notifies_total{result=\"coalesced\"}"),
         }
@@ -473,6 +477,14 @@ impl ShardMetrics {
             }
             Err(_) => self.run_errors.inc(),
         }
+    }
+
+    /// Count one completed shared session: how many subscribers it served
+    /// with how many pumps (one per plan class). `1 − pumps/subscribers` is
+    /// the share of subscriptions that rode another subscriber's pump.
+    fn note_fanout(&self, plan: &FanoutPlan) {
+        self.fanout_subscribers.add(plan.len() as u64);
+        self.fanout_pumps.add(plan.classes().len() as u64);
     }
 }
 
@@ -1897,11 +1909,13 @@ fn finish_now<S: Sink>(
                     ctx.send(RuntimeEvent::Finished { id, result, sink });
                 }
                 AnySession::Shared(s) => {
+                    let plan = s.plan_arc();
                     let results = s.finish_parts();
                     if let Some(m) = &ctx.metrics {
                         for (result, _) in &results {
                             m.note_run(opened, result);
                         }
+                        m.note_fanout(&plan);
                     }
                     let ok = results.iter().all(|(r, _)| r.is_ok());
                     ctx.trace(TraceEvent::SessionFinish { shard: ctx.shard, ok });

@@ -191,7 +191,8 @@ impl<S: Sink> Shard<S> {
     /// Open a shared fan-out session over a compiled [`SubscriptionSet`]:
     /// one parse, `set.len()` subscribers, one sink each (in
     /// [`SubscriptionSet::ids`] order). Shares the shard's budget hook
-    /// like every single-query session.
+    /// like every single-query session, charging it once per distinct plan
+    /// in the set.
     pub fn open_shared(&mut self, set: &SubscriptionSet, sinks: Vec<S>) -> SharedSessionId {
         let session = match &self.budget {
             Some(hook) => set.session_with_budget(sinks, Arc::clone(hook)),

@@ -6,22 +6,28 @@
 //! incremental reader plus an engine-level
 //! [`FanoutDriver`](flux_engine::FanoutDriver) — fed chunk by chunk on the
 //! caller's thread. The document is tokenized **once**; every resolved
-//! event fans out to the subscriptions still interested in the current
-//! subtree (the rest are parked, see `flux_engine::fanout`), and each
-//! subscriber keeps its own sink, statistics and budget charges.
+//! event fans out to the *plan classes* still interested in the current
+//! subtree (the rest are parked, see `flux_engine::fanout`). A class is
+//! the set of subscribers with an identical plan: it runs one pump, holds
+//! one set of buffers and one budget charge, and copies its output to each
+//! member's sink — so each subscriber keeps its own sink, statistics and
+//! outcome, and M readers of one query cost one evaluation.
 //!
 //! The per-subscriber semantics are deliberate and pinned by tests:
 //!
 //! * **A subscriber's failure detaches the subscriber, never the stream.**
-//!   A validation error only one query cares about stops that query; the
-//!   other M−1 keep streaming, and the error surfaces in that subscriber's
-//!   entry of [`SharedSession::finish_parts`]. (A *parse* error is a
-//!   property of the shared input itself, so it fails every subscriber —
-//!   exactly as it would fail each independent run.)
+//!   A validation error only one query cares about stops that query — for
+//!   every subscriber of it, with the same error, as in their independent
+//!   runs — while the other queries keep streaming; a subscriber whose own
+//!   *sink* fails is stopped alone. Either way the error surfaces in that
+//!   subscriber's entry of [`SharedSession::finish_parts`]. (A *parse*
+//!   error is a property of the shared input itself, so it fails every
+//!   subscriber — exactly as it would fail each independent run.)
 //! * **Aborting a subscriber detaches it immediately**
 //!   ([`SharedSession::abort_sub`]): its sink comes back with the output
-//!   streamed so far, its buffers and shared-budget charges are released,
-//!   and the parse continues for the rest.
+//!   streamed so far and the parse continues for the rest. Its plan's
+//!   buffers and shared-budget charge are released with the *last*
+//!   subscriber of that plan to finish, fail or be aborted.
 //! * **Budget stalls are stream-level.** The admission gate
 //!   ([`SharedSession::feed_outcome`]) pauses the *whole* shared parse
 //!   while the pool is tight and no subscriber holds charges — a single
@@ -229,15 +235,17 @@ impl<S: Sink> SharedSession<S> {
     }
 
     /// Abort one subscriber mid-stream: its sink comes back with the
-    /// output streamed so far (no end-of-input epilogue), its buffers and
-    /// budget charges are released, and the shared parse continues for
-    /// everyone else. `None` if `i` was already aborted.
+    /// output streamed so far (no end-of-input epilogue) and the shared
+    /// parse continues for everyone else. If it was the last live
+    /// subscriber of its plan, that plan's buffers and budget charge are
+    /// released here. `None` if `i` was already aborted.
     pub fn abort_sub(&mut self, i: usize) -> Option<S> {
         self.driver.abort_sub(i)
     }
 
-    /// Bytes this session currently holds: every live subscriber's
-    /// buffers and captures plus the unparsed tail of the fed input.
+    /// Bytes this session currently holds: every live plan class's
+    /// buffers and captures (once each, however many subscribers read
+    /// them) plus the unparsed tail of the fed input.
     pub fn buffered_bytes(&self) -> usize {
         self.driver.buffered_bytes() + self.reader.unconsumed_bytes()
     }
@@ -248,8 +256,8 @@ impl<S: Sink> SharedSession<S> {
     }
 
     /// Serialize the complete resumable state of the shared session —
-    /// reader window plus **all M subscriber pumps** (active, parked,
-    /// failed and detached alike) and the wake schedule — into a
+    /// reader window plus **every subscriber slot** (live, failed and
+    /// detached alike), each plan class's pump and the wake schedule — into a
     /// `flux-state` envelope. Restores via
     /// [`SubscriptionSet::restore_session`](crate::SubscriptionSet::restore_session)
     /// against a set with the same queries in the same order; resumed

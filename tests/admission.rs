@@ -424,57 +424,142 @@ fn wrapped_hooks_deliver_wakeups_through_the_forwarded_subscription() {
     let _ = rt.drain();
 }
 
-#[test]
-fn shared_fanout_charges_each_subscriber_and_returns_to_zero_on_finish() {
-    // ISSUE satellite: the counting-hook aggregate over a *shared* run with
-    // three subscribers. Every subscriber buffers its own copy of the held
-    // author text (its charges are its own, exactly as in three independent
-    // sessions), and the whole aggregate returns to zero on finish.
+/// Three buffering queries with three different plans (the constructors
+/// differ), each parking the held author text like [`QUERY`] does — three
+/// plan classes, three charges.
+fn distinct_buffering_registry() -> (QueryRegistry, Vec<PreparedQuery>) {
+    let engine = Engine::builder().dtd_str(WEAK_DTD).build().unwrap();
+    let mut reg = QueryRegistry::new();
+    let mut queries = Vec::new();
+    for id in ["a", "b", "c"] {
+        let q = engine
+            .prepare(&format!(
+                "<{id}>{{ for $b in $ROOT/bib/book return <r> {{$b/title}} {{$b/author}} </r> }}</{id}>"
+            ))
+            .unwrap();
+        reg.register(id, q.clone());
+        queries.push(q);
+    }
+    (reg, queries)
+}
+
+/// Three subscriptions to one and the same query: one plan class.
+fn identical_registry() -> (QueryRegistry, PreparedQuery) {
     let q = prepared();
-    let reference = q.run_str(&(hold_prefix(500) + SUFFIX)).unwrap();
     let mut reg = QueryRegistry::new();
     for id in ["a", "b", "c"] {
         reg.register(id, q.clone());
     }
+    (reg, q)
+}
+
+/// What one independent session of `q` charges after the 500-byte hold.
+fn solo_charge(q: &PreparedQuery) -> usize {
+    let ctrl = AdmissionController::new(1 << 20);
+    let mut s = q.session_with_budget(StringSink::new(), ctrl.hook());
+    s.feed(hold_prefix(500).as_bytes()).unwrap();
+    ctrl.used()
+}
+
+fn string_sinks(set: &SubscriptionSet) -> Vec<StringSink> {
+    (0..set.len()).map(|_| StringSink::new()).collect()
+}
+
+#[test]
+fn shared_fanout_charges_each_plan_class_once_and_returns_to_zero_on_finish() {
+    // The counting-hook aggregate over a *shared* run. Three subscribers
+    // with three different plans each buffer their own copy of the held
+    // author text — their charges are their own, exactly as in three
+    // independent sessions — and the whole aggregate returns to zero on
+    // finish.
+    let (reg, queries) = distinct_buffering_registry();
     let set = SubscriptionSet::compile(&reg).unwrap();
+    assert_eq!(set.plan().classes().len(), 3);
+    let doc = hold_prefix(500) + SUFFIX;
 
     let ctrl = AdmissionController::new(1 << 20);
     let counting = CountingHook::over(&ctrl);
-    let mut s = set
-        .session_with_budget((0..set.len()).map(|_| StringSink::new()).collect(), counting.clone());
+    let mut s = set.session_with_budget(string_sinks(&set), counting.clone());
 
     s.feed(hold_prefix(500).as_bytes()).unwrap();
     let held = ctrl.used();
-    assert!(held >= 3 * 500, "three subscribers each hold the author: {held}");
+    assert!(held >= 3 * 500, "three plans each hold the author: {held}");
+    assert_eq!(held, queries.iter().map(solo_charge).sum::<usize>());
     assert_eq!(s.budget_charged(), held, "session accounting agrees with the pool");
 
     s.feed(SUFFIX.as_bytes()).unwrap();
     assert_eq!(ctrl.used(), 0, "buffers flush when each book closes");
-    for (res, sink) in s.finish_parts() {
+    for ((res, sink), q) in s.finish_parts().into_iter().zip(&queries) {
         res.unwrap();
-        assert_eq!(sink.unwrap().as_str(), reference.output);
+        assert_eq!(sink.unwrap().as_str(), q.run_str(&doc).unwrap().output);
     }
     assert_eq!(ctrl.used(), 0);
     assert!(counting.peak() >= held);
 }
 
 #[test]
-fn aborting_one_shared_subscriber_returns_exactly_its_own_charge() {
-    // ISSUE satellite, second half: mid-stream abort of one subscriber out
-    // of three releases that subscriber's share immediately; the survivors
-    // keep their holdings, finish normally, and the aggregate ends at zero.
-    let q = prepared();
+fn identical_shared_subscribers_hold_one_charge_released_by_the_last() {
+    // Three subscribers of *one* plan are one class: one pump, one copy of
+    // the held author text, one charge — what a single independent session
+    // holds, not three times that. Aborting a member that is not the last
+    // releases nothing (the survivors still need the buffer); the last one
+    // out releases all of it, there and then.
+    let (reg, q) = identical_registry();
     let reference = q.run_str(&(hold_prefix(500) + SUFFIX)).unwrap();
-    let mut reg = QueryRegistry::new();
-    for id in ["a", "b", "c"] {
-        reg.register(id, q.clone());
+    let set = SubscriptionSet::compile(&reg).unwrap();
+    assert_eq!(set.plan().classes(), [vec![0, 1, 2]]);
+
+    let ctrl = AdmissionController::new(1 << 20);
+    let counting = CountingHook::over(&ctrl);
+    let mut s = set.session_with_budget(string_sinks(&set), counting.clone());
+    s.feed(hold_prefix(500).as_bytes()).unwrap();
+    let held = ctrl.used();
+    assert_eq!(held, solo_charge(&q), "three identical subscribers hold one charge");
+    assert_eq!(s.budget_charged(), held);
+
+    let first = s.abort_sub(1).expect("sink recovered");
+    assert!(reference.output.starts_with(first.as_str()));
+    assert_eq!(ctrl.used(), held, "a non-last member's abort releases nothing");
+    s.abort_sub(0).expect("sink recovered");
+    assert_eq!(ctrl.used(), held);
+    assert_eq!(s.live_subscribers(), 1);
+    s.abort_sub(2).expect("sink recovered");
+    assert_eq!(ctrl.used(), 0, "the last member out releases the class's charge");
+    assert_eq!(s.budget_charged(), 0);
+
+    // The parse itself goes on (other classes would keep streaming).
+    s.feed(SUFFIX.as_bytes()).unwrap();
+    for (res, sink) in s.finish_parts() {
+        assert!(matches!(res, Err(FluxError::SessionAborted)));
+        assert!(sink.is_none());
     }
+    assert_eq!(ctrl.used(), 0);
+    assert_eq!(counting.peak(), held);
+
+    // And the plain path: all three finish, byte-identical, ledger at 0.
+    let mut s = set.session_with_budget(string_sinks(&set), counting.clone());
+    s.feed(hold_prefix(500).as_bytes()).unwrap();
+    assert_eq!(ctrl.used(), held);
+    s.feed(SUFFIX.as_bytes()).unwrap();
+    for (res, sink) in s.finish_parts() {
+        assert_eq!(res.unwrap(), reference.stats);
+        assert_eq!(sink.unwrap().as_str(), reference.output);
+    }
+    assert_eq!(ctrl.used(), 0);
+}
+
+#[test]
+fn aborting_one_shared_subscriber_returns_exactly_its_own_charge() {
+    // Mid-stream abort of one subscriber out of three *different* plans
+    // releases that subscriber's share immediately; the survivors keep
+    // their holdings, finish normally, and the aggregate ends at zero.
+    let (reg, queries) = distinct_buffering_registry();
+    let doc = hold_prefix(500) + SUFFIX;
     let set = SubscriptionSet::compile(&reg).unwrap();
 
     let ctrl = AdmissionController::new(1 << 20);
     let counting = CountingHook::over(&ctrl);
-    let mut s = set
-        .session_with_budget((0..set.len()).map(|_| StringSink::new()).collect(), counting.clone());
+    let mut s = set.session_with_budget(string_sinks(&set), counting.clone());
 
     s.feed(hold_prefix(500).as_bytes()).unwrap();
     let held = ctrl.used();
@@ -483,39 +568,34 @@ fn aborting_one_shared_subscriber_returns_exactly_its_own_charge() {
     let aborted = s.abort_sub(0).expect("sink recovered");
     // The streamed constructor prefix is already out, but the held author
     // text never flushed: the recovered sink is a strict prefix.
-    assert!(reference.output.starts_with(aborted.as_str()));
+    assert!(queries[0].run_str(&doc).unwrap().output.starts_with(aborted.as_str()));
     assert!(!aborted.as_str().contains("xxx"));
-    let after_abort = ctrl.used();
-    assert_eq!(after_abort, held - held / 3, "one of three equal charges released");
+    assert_eq!(ctrl.used(), held - solo_charge(&queries[0]), "exactly its own charge released");
 
     s.feed(SUFFIX.as_bytes()).unwrap();
     let parts = s.finish_parts();
     assert!(parts[0].1.is_none(), "the aborted subscriber's sink is already gone");
-    for (res, sink) in parts.into_iter().skip(1) {
+    for ((res, sink), q) in parts.into_iter().zip(&queries).skip(1) {
         res.unwrap();
-        assert_eq!(sink.unwrap().as_str(), reference.output);
+        assert_eq!(sink.unwrap().as_str(), q.run_str(&doc).unwrap().output);
     }
     assert_eq!(ctrl.used(), 0, "survivors released everything on finish");
 }
 
 #[test]
 fn dropping_a_shared_session_mid_stream_releases_the_whole_aggregate() {
-    let q = prepared();
-    let mut reg = QueryRegistry::new();
-    for id in ["a", "b", "c"] {
-        reg.register(id, q.clone());
+    let (distinct, _) = distinct_buffering_registry();
+    let (identical, _) = identical_registry();
+    for (reg, classes) in [(distinct, 3), (identical, 1)] {
+        let set = SubscriptionSet::compile(&reg).unwrap();
+        let ctrl = AdmissionController::new(1 << 20);
+        let mut s = set.session_with_budget(string_sinks(&set), CountingHook::over(&ctrl));
+        s.feed(hold_prefix(500).as_bytes()).unwrap();
+        assert!(ctrl.used() >= classes * 500);
+        assert!(ctrl.used() < (classes + 1) * 500);
+        drop(s);
+        assert_eq!(ctrl.used(), 0, "drop mid-stream returns every charge");
     }
-    let set = SubscriptionSet::compile(&reg).unwrap();
-
-    let ctrl = AdmissionController::new(1 << 20);
-    let mut s = set.session_with_budget(
-        (0..set.len()).map(|_| StringSink::new()).collect(),
-        CountingHook::over(&ctrl),
-    );
-    s.feed(hold_prefix(500).as_bytes()).unwrap();
-    assert!(ctrl.used() >= 3 * 500);
-    drop(s);
-    assert_eq!(ctrl.used(), 0, "drop mid-stream returns every charge");
 }
 
 #[test]

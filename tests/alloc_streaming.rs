@@ -131,4 +131,39 @@ fn streaming_runs_allocate_independently_of_document_size() {
         "TraceBuffer::emit must not allocate once the ring exists"
     );
     assert_eq!(ring.recorded(), 10_000, "every emit was recorded (ring overwrites, never drops)");
+
+    // A shared session with duplicate subscribers rides the same bar: the
+    // class's tee stages output in one buffer that reaches its (bounded)
+    // capacity on the first write and is reused from then on, so once the
+    // reader window and the pump's pools exist, further feeds — each one
+    // copying staged output to three members — allocate nothing.
+    let mut registry = QueryRegistry::new();
+    registry.register("results", engine.prepare(queries[0]).unwrap());
+    registry.register("hits", engine.prepare(queries[1]).unwrap());
+    let set =
+        SubscriptionSet::compile_subset(&registry, &["results", "hits", "results", "results"])
+            .unwrap();
+    assert_eq!(set.plan().classes().len(), 2, "three subscribers share one pump");
+    let mut shared = set.session((0..set.len()).map(|_| NullSink::default()).collect());
+    shared.feed(b"<bib>").unwrap();
+    for _ in 0..8 {
+        shared.feed(BOOK.as_bytes()).unwrap(); // warm-up
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..400 {
+        shared.feed(BOOK.as_bytes()).unwrap();
+    }
+    assert_eq!(
+        ALLOCS.load(Ordering::Relaxed) - before,
+        0,
+        "steady-state feeds of a shared session with duplicates must not allocate"
+    );
+    shared.feed(b"</bib>").unwrap();
+    let written: Vec<u64> = shared
+        .finish_parts()
+        .into_iter()
+        .map(|(res, sink)| res.map(|_| sink.expect("not aborted").bytes).unwrap())
+        .collect();
+    assert!(written[0] > 408 * 8, "every book produced output: {written:?}");
+    assert_eq!((written[0], written[0]), (written[2], written[3]), "each member got it all");
 }

@@ -9,7 +9,9 @@
 //! that property over the paper's own workload: **every non-empty subset**
 //! of the five Appendix-A XMark queries, fed at chunk sizes {3, 257, 4096}
 //! over a generated XMark document, extending the chunk-invariance harness
-//! of `tests/session_chunking.rs` to the shared path.
+//! of `tests/session_chunking.rs` to the shared path — and, since
+//! subscribers with an identical plan share one pump (a *plan class*), sets
+//! with duplicates: the same `Arc`, a separately prepared copy, a join.
 
 use flux::prelude::*;
 use flux::xmark::{generate_string, XmarkConfig, PAPER_QUERIES, XMARK_DTD};
@@ -19,6 +21,7 @@ use flux::xmark::{generate_string, XmarkConfig, PAPER_QUERIES, XMARK_DTD};
 const CHUNKS: &[usize] = &[3, 257, 4096];
 
 struct Fixture {
+    engine: Engine,
     registry: QueryRegistry,
     doc: String,
     /// Reference output + stats per paper query, from independent runs.
@@ -36,7 +39,7 @@ fn fixture(doc_bytes: usize) -> Fixture {
         registry.register(q.name, prepared);
         refs.push((q.name.to_string(), reference));
     }
-    Fixture { registry, doc, refs }
+    Fixture { engine, registry, doc, refs }
 }
 
 impl Fixture {
@@ -98,6 +101,53 @@ fn streaming_queries_share_one_larger_parse() {
     for &chunk in CHUNKS {
         fx.check_subset(&["Q1", "Q13", "Q20"], chunk);
         fx.check_subset(&["Q13", "Q1", "Q13", "Q1"], chunk);
+    }
+}
+
+/// The benchmark's `fanout` shape: 16 subscribers cycling three queries
+/// are three plan classes of 6/5/5 members — each member still gets its
+/// own bytes and its own statistics.
+#[test]
+fn sixteen_subscribers_of_three_plans_run_three_pumps() {
+    let fx = fixture(192 << 10);
+    let ids: Vec<&str> = (0..16).map(|i| ["Q1", "Q13", "Q20"][i % 3]).collect();
+    let set = SubscriptionSet::compile_subset(&fx.registry, &ids).unwrap();
+    let members: Vec<usize> = set.plan().classes().iter().map(Vec::len).collect();
+    assert_eq!(members, [6, 5, 5]);
+    for &chunk in CHUNKS {
+        fx.check_subset(&ids, chunk);
+    }
+}
+
+/// Classes are found by *structural* plan equality, not only by `Arc`
+/// identity: a second `prepare` of the same source (its own plan, its own
+/// compilation) lands in the class of the first.
+#[test]
+fn separately_prepared_copies_of_one_query_share_a_class() {
+    let mut fx = fixture(48 << 10);
+    let q20 = PAPER_QUERIES.iter().find(|q| q.name == "Q20").unwrap();
+    fx.registry.register("Q20-copy", fx.engine.prepare(q20.source).unwrap());
+    fx.refs.push(("Q20-copy".to_string(), fx.reference("Q20").clone()));
+
+    let ids = ["Q20", "Q1", "Q20-copy"];
+    let set = SubscriptionSet::compile_subset(&fx.registry, &ids).unwrap();
+    assert_eq!(set.plan().classes(), [vec![0, 2], vec![1]]);
+    for &chunk in CHUNKS {
+        fx.check_subset(&ids, chunk);
+    }
+}
+
+/// A duplicated *join*: both Q8 subscribers read one pump's buffers and
+/// one join index, and report the peak an independent run reports.
+#[test]
+fn duplicate_join_subscribers_share_buffers_and_index() {
+    let fx = fixture(24 << 10);
+    assert!(fx.reference("Q8").stats.peak_buffer_bytes > 0, "Q8 buffers");
+    let ids = ["Q8", "Q1", "Q8"];
+    let set = SubscriptionSet::compile_subset(&fx.registry, &ids).unwrap();
+    assert_eq!(set.plan().classes(), [vec![0, 2], vec![1]]);
+    for &chunk in CHUNKS {
+        fx.check_subset(&ids, chunk);
     }
 }
 

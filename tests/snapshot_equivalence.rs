@@ -5,7 +5,8 @@
 //! output and statistics **byte-identical** to a session that never
 //! snapshotted. Checked at *every* chunk offset (splits inside tags, text
 //! and multi-byte UTF-8 included) for all five Appendix-A paper queries,
-//! and for a shared M=3 fan-out session.
+//! for a shared M=3 fan-out session, and for fan-out sets with duplicate
+//! subscribers (plan classes), one of them aborted before the snapshot.
 
 use std::cell::RefCell;
 use std::io;
@@ -158,34 +159,79 @@ fn shared_fanout_session_snapshots_at_every_offset() {
     );
     let set = SubscriptionSet::compile(&reg).unwrap();
     assert_eq!(set.len(), 3, "M=3 fan-out");
+    check_shared_every_offset(&set, DOC, None);
 
-    // Uninterrupted reference run.
+    // The same catalog with duplicates: five subscribers, three pumps.
+    // The class's pump state travels in the slot of its first live member.
+    let dup = SubscriptionSet::compile_subset(
+        &reg,
+        &["books", "articles", "books", "authors", "articles"],
+    )
+    .unwrap();
+    assert_eq!(dup.plan().classes(), [vec![0, 2], vec![1, 4], vec![3]]);
+    check_shared_every_offset(&dup, DOC, None);
+    // … also when that first member (or a later one) was aborted before
+    // the snapshot: its slot restores detached, the class lives on.
+    check_shared_every_offset(&dup, DOC, Some(0));
+    check_shared_every_offset(&dup, DOC, Some(4));
+}
+
+#[test]
+fn duplicate_buffering_subscribers_snapshot_at_every_offset() {
+    // One class of three over the weak schema: the shared pump carries
+    // live recorder trees and captures mid-scope, once, for all three.
+    let engine = Engine::builder().dtd_str(WEAK_DTD).build().unwrap();
+    let mut reg = QueryRegistry::new();
+    reg.register("q3", engine.prepare(Q3).unwrap());
+    reg.register(
+        "titles",
+        engine.prepare("<titles>{ for $b in $ROOT/bib/book return {$b/title} }</titles>").unwrap(),
+    );
+    let set = SubscriptionSet::compile_subset(&reg, &["q3", "titles", "q3", "q3"]).unwrap();
+    assert_eq!(set.plan().classes(), [vec![0, 2, 3], vec![1]]);
+    check_shared_every_offset(&set, WEAK_DOC, None);
+    check_shared_every_offset(&set, WEAK_DOC, Some(2));
+}
+
+/// The shared twin of [`check_every_offset`]: at every offset, feed the
+/// prefix, optionally abort subscriber `abort`, snapshot, restore into
+/// fresh sinks, feed the suffix — every surviving subscriber's output and
+/// statistics must equal the uninterrupted run's.
+fn check_shared_every_offset(set: &SubscriptionSet, doc: &str, abort: Option<usize>) {
     let mut r = set.session_strings();
-    r.feed(DOC.as_bytes()).unwrap();
+    r.feed(doc.as_bytes()).unwrap();
     let reference: Vec<(RunStats, String)> = r
         .finish_parts()
         .into_iter()
         .map(|(res, sink)| (res.unwrap(), sink.unwrap().into_string()))
         .collect();
 
-    for at in 0..=DOC.len() {
+    for at in 0..=doc.len() {
         let prefix_sinks: Vec<SharedSink> = (0..set.len()).map(|_| SharedSink::default()).collect();
         let mut first = set.session(prefix_sinks.clone());
-        first.feed(&DOC.as_bytes()[..at]).unwrap();
+        first.feed(&doc.as_bytes()[..at]).unwrap();
+        if let Some(i) = abort {
+            first.abort_sub(i).expect("first abort yields the sink");
+        }
         let snap = first.snapshot().unwrap_or_else(|e| panic!("shared snapshot at {at}: {e}"));
         assert_eq!(snap, first.snapshot().unwrap(), "shared snapshot at {at} not deterministic");
         let prefixes: Vec<String> = prefix_sinks.iter().map(SharedSink::contents).collect();
         drop(first);
 
-        let sinks = (0..set.len()).map(|_| Some(StringSink::new())).collect();
+        let sinks = (0..set.len()).map(|i| (Some(i) != abort).then(StringSink::new)).collect();
         let mut resumed = set
             .restore_session(sinks, &snap)
             .unwrap_or_else(|e| panic!("shared restore at {at}: {e}"));
         assert_eq!(snap, resumed.snapshot().unwrap(), "shared restore at {at} not canonical");
-        resumed.feed(&DOC.as_bytes()[at..]).unwrap();
+        resumed.feed(&doc.as_bytes()[at..]).unwrap();
         let outs = resumed.finish_parts();
         for (i, ((res, sink), (ref_stats, ref_out))) in outs.into_iter().zip(&reference).enumerate()
         {
+            if Some(i) == abort {
+                assert!(matches!(res, Err(FluxError::SessionAborted)), "sub {i} at {at}");
+                assert!(sink.is_none());
+                continue;
+            }
             let stats = res.unwrap_or_else(|e| panic!("sub {i} at {at}: {e}"));
             assert_eq!(stats, *ref_stats, "sub {i} stats differ for snapshot at {at}");
             let full = format!("{}{}", prefixes[i], sink.unwrap().as_str());
