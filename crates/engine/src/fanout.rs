@@ -59,7 +59,7 @@ use std::sync::Arc;
 
 use flux_core::FluxExpr;
 use flux_dtd::Dtd;
-use flux_xml::{EventTape, FeedSource, Reader, ResolvedEvent, Sink, Symbols, TapeKind};
+use flux_xml::{EventTape, InPlace, ResolvedEvent, Sink, Symbols, TapeKind};
 
 use crate::budget::BudgetHook;
 use crate::compile::{CompiledQuery, EngineError, EngineOptions};
@@ -536,7 +536,7 @@ impl<S: Sink> FanoutDriver<S> {
     /// parked (or retired), only an end tag closing at a populated wake
     /// depth matters, so the driver walks the recorded kinds directly — the
     /// fan-out analogue of the single-pump in-tape skip scan.
-    pub fn feed_tape(&mut self, reader: &Reader<FeedSource>, tape: &EventTape) -> u64 {
+    pub fn feed_tape(&mut self, reader: &InPlace<'_>, tape: &EventTape) -> u64 {
         let mut scanned = 0u64;
         let mut i = 0;
         while i < tape.len() {

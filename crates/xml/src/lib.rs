@@ -64,8 +64,8 @@ pub use evbuf::EventBuf;
 pub use events::{Event, OwnedEvent, ResolvedEvent};
 pub use idtrie::IdTrie;
 pub use reader::{
-    AttributeMode, FeedSource, Polled, Reader, ReaderOptions, SkipPoll, TapeFill, XmlError,
-    XmlErrorKind,
+    AttributeMode, FeedSource, InPlace, Polled, Reader, ReaderOptions, SkipPoll, TapeFill,
+    XmlError, XmlErrorKind,
 };
 pub use scan::{Backend, ScanTelemetry, Scanner, ScannerChoice};
 pub use sink::{Sink, StringSink};

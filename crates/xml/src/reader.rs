@@ -297,7 +297,7 @@ fn find_structural(
     }
 }
 
-/// [`find_structural`] for the burst walk of [`Reader::skip_events`]: the
+/// [`find_structural`] for the burst walk of [`InPlace::skip_events`]: the
 /// window is anchored at the *burst start* (which never moves — the walk
 /// does not consume), so the search position `start` is an arbitrary
 /// window-relative offset rather than always `0`. `shift` maps
@@ -339,6 +339,15 @@ fn skip_find(
 /// Streaming pull parser. See the [module documentation](self).
 pub struct Reader<R> {
     src: R,
+    st: ParseState,
+}
+
+/// Everything a parse carries except its bytes. Every parse routine is a
+/// method here taking the byte source as a parameter, so one state can be
+/// driven over whichever window currently holds the stream's next bytes —
+/// a blocking `BufRead`, the incremental reader's own buffer, or the
+/// caller's chunk during [`Reader::feed_in_place`].
+struct ParseState {
     opts: ReaderOptions,
     /// Stage-1 structural classifier, resolved once from
     /// `opts.scanner` (see [`crate::scan`]).
@@ -395,11 +404,9 @@ impl<'s> Reader<&'s [u8]> {
     }
 }
 
-impl<R: BufRead> Reader<R> {
-    /// Create a reader over any buffered byte source.
-    pub fn new(src: R, opts: ReaderOptions) -> Self {
-        Reader {
-            src,
+impl ParseState {
+    fn new(opts: ReaderOptions) -> Self {
+        ParseState {
             opts,
             scanner: Scanner::with_choice(opts.scanner),
             sidx: StructuralIndex::new(),
@@ -426,18 +433,25 @@ impl<R: BufRead> Reader<R> {
             finished: false,
         }
     }
+}
+
+impl<R> Reader<R> {
+    /// Create a reader over any buffered byte source.
+    pub fn new(src: R, opts: ReaderOptions) -> Self {
+        Reader { src, st: ParseState::new(opts) }
+    }
 
     /// Create a reader that resolves tag names against a shared symbol
     /// table (see the [module docs](self)).
     pub fn with_symbols(src: R, opts: ReaderOptions, symbols: Arc<Symbols>) -> Self {
         let mut r = Self::new(src, opts);
-        r.symbols = Some(symbols);
+        r.st.symbols = Some(symbols);
         r
     }
 
     /// Number of bytes consumed from the source so far.
     pub fn offset(&self) -> u64 {
-        self.offset
+        self.st.offset
     }
 
     /// Depth of currently open elements.
@@ -445,29 +459,27 @@ impl<R: BufRead> Reader<R> {
         // An End event just delivered from the fast path leaves its pop
         // pending until the next pull; it is closed as far as callers are
         // concerned.
-        self.stack.len() - usize::from(matches!(self.slot, Slot::StackPop))
+        self.st.stack.len() - usize::from(matches!(self.st.slot, Slot::StackPop))
     }
 
     /// Scan-path observability: selected backend and bytes consumed per
     /// path. See [`ScanTelemetry`] for why this never affects equality.
     pub fn scan_telemetry(&self) -> ScanTelemetry {
         ScanTelemetry {
-            backend: self.scanner.backend(),
-            fast_path_bytes: self.fast_bytes,
-            general_path_bytes: self.general_bytes,
+            backend: self.st.scanner.backend(),
+            fast_path_bytes: self.st.fast_bytes,
+            general_path_bytes: self.st.general_bytes,
         }
-    }
-
-    fn err<T>(&self, kind: XmlErrorKind) -> Result<T, XmlError> {
-        Err(XmlError { kind, offset: self.offset })
     }
 
     /// Quick-resolve cache counters `(hits, misses)` — see
     /// [`Symbols::resolve_traced`]. Telemetry only; never serialized.
     pub fn quick_counters(&self) -> (u64, u64) {
-        (self.quick_hits, self.quick_misses)
+        (self.st.quick_hits, self.st.quick_misses)
     }
+}
 
+impl<R: BufRead> Reader<R> {
     /// Pull the next event. Returns `Ok(None)` at a well-formed end of
     /// document. The returned event borrows from the reader and must be
     /// released (dropped) before the next call.
@@ -486,31 +498,60 @@ impl<R: BufRead> Reader<R> {
     /// DOCTYPE, non-ASCII names — takes the general accumulating path,
     /// which the fast path leaves completely untouched on fallback.
     pub fn next_resolved(&mut self) -> Result<Option<ResolvedEvent<'_>>, XmlError> {
-        if self.advance()? {
-            Ok(Some(self.current()?))
-        } else {
-            Ok(None)
+        if !self.st.advance(&mut self.src)? {
+            return Ok(None);
+        }
+        // Only a zero-copy text event reads the window (still held by
+        // `defer_consume`); anything else must not touch the source, which
+        // for a drained `BufReader` would mean a read the caller never
+        // asked for.
+        let window = match self.st.slot {
+            Slot::SrcText { .. } => self.src.fill_buf().map_err(|e| XmlError {
+                kind: XmlErrorKind::Io(e.to_string()),
+                offset: self.st.offset,
+            })?,
+            _ => &[],
+        };
+        Ok(Some(self.st.current(window)))
+    }
+
+    /// Drain the whole document into owned events (testing convenience).
+    pub fn read_to_end(&mut self) -> Result<Vec<OwnedEvent>, XmlError> {
+        let mut out = Vec::new();
+        while let Some(ev) = self.next_event()? {
+            out.push(ev.to_owned());
+        }
+        Ok(out)
+    }
+}
+
+impl ParseState {
+    fn err<T>(&self, kind: XmlErrorKind) -> Result<T, XmlError> {
+        Err(XmlError { kind, offset: self.offset })
+    }
+
+    /// Commit what the previously delivered event left borrowed: a
+    /// zero-copy text run still held in the source window, or an End
+    /// event's name still on top of the element stack.
+    fn commit_deferred<R: BufRead>(&mut self, src: &mut R) {
+        if self.defer_consume > 0 {
+            src.consume(self.defer_consume);
+            self.defer_consume = 0;
+        }
+        if let Slot::StackPop = self.slot {
+            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
+            self.stack_buf.truncate(off as usize);
+            self.slot = Slot::None;
         }
     }
 
     /// Parse up to the next event, leaving it described in `self.slot`.
     /// Returns `false` at a well-formed end of document. Split from the
-    /// event materialization ([`Reader::current`]) so the incremental mode
-    /// can inspect reader state between parsing and borrowing the event.
-    fn advance(&mut self) -> Result<bool, XmlError> {
-        if self.defer_consume > 0 {
-            // The previous event borrowed the source window; release it now
-            // that the borrow is over.
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
-        }
-        if let Slot::StackPop = self.slot {
-            // The previous End event borrowed the topmost stack entry;
-            // commit the deferred pop now that the borrow is over.
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
+    /// event materialization ([`ParseState::current`]) so the incremental
+    /// mode can inspect reader state between parsing and borrowing the
+    /// event.
+    fn advance<R: BufRead>(&mut self, src: &mut R) -> Result<bool, XmlError> {
+        self.commit_deferred(src);
         loop {
             // Deliver queued events first (attribute conversion etc.).
             if self.pending_pos < self.pending.len() {
@@ -523,18 +564,18 @@ impl<R: BufRead> Reader<R> {
             }
             if self.in_tag {
                 self.in_tag = false;
-                match self.fast_tag()? {
+                match self.fast_tag(src)? {
                     Fast::Emitted => break,
                     Fast::Skipped => continue,
                     Fast::Fallback => {
-                        if self.parse_tag()? {
+                        if self.parse_tag(src)? {
                             break;
                         }
                         continue; // comment / PI / doctype: nothing to report
                     }
                 }
             }
-            match self.fast_text()? {
+            match self.fast_text(src)? {
                 Fast::Emitted => break,
                 Fast::Skipped => continue,
                 Fast::Fallback => {}
@@ -542,7 +583,7 @@ impl<R: BufRead> Reader<R> {
             // General path: scan character data until the next '<',
             // accumulating across buffer refills.
             self.raw.clear();
-            let n = self.src.read_until(b'<', &mut self.raw).map_err(|e| XmlError {
+            let n = src.read_until(b'<', &mut self.raw).map_err(|e| XmlError {
                 kind: XmlErrorKind::Io(e.to_string()),
                 offset: self.offset,
             })?;
@@ -572,16 +613,13 @@ impl<R: BufRead> Reader<R> {
     }
 
     /// Materialize the event described by `self.slot` (set by
-    /// [`Reader::advance`]).
-    fn current(&mut self) -> Result<ResolvedEvent<'_>, XmlError> {
-        Ok(match &self.slot {
+    /// [`ParseState::advance`]). `window` is the source's unconsumed
+    /// window; only a [`Slot::SrcText`] event reads it.
+    fn current<'a>(&'a self, window: &'a [u8]) -> ResolvedEvent<'a> {
+        match &self.slot {
             Slot::Text => ResolvedEvent::Text(&self.text_buf),
             Slot::SrcText { len } => {
-                let buf = self.src.fill_buf().map_err(|e| XmlError {
-                    kind: XmlErrorKind::Io(e.to_string()),
-                    offset: self.offset,
-                })?;
-                let run = &buf[..*len];
+                let run = &window[..*len];
                 debug_assert!(run.is_ascii(), "SrcText runs are scanner-verified ASCII");
                 // SAFETY: `fast_text` emits `SrcText` only when the
                 // structural scan's high-bit class over this exact run was
@@ -603,16 +641,15 @@ impl<R: BufRead> Reader<R> {
             }
             Slot::Pending(i) => self.pending.get(*i).expect("pending index in range"),
             Slot::None => unreachable!("slot set before break"),
-        })
+        }
     }
 
     /// Zero-copy text scan: when the run up to the next `<` sits inside the
     /// buffered window and is entity-free ASCII, the text event borrows the
     /// window directly — no copy into `raw` or `text_buf`, and dropped
     /// whitespace runs are never even UTF-8 validated.
-    fn fast_text(&mut self) -> Result<Fast, XmlError> {
-        let buf = self
-            .src
+    fn fast_text<R: BufRead>(&mut self, src: &mut R) -> Result<Fast, XmlError> {
+        let buf = src
             .fill_buf()
             .map_err(|e| XmlError { kind: XmlErrorKind::Io(e.to_string()), offset: self.offset })?;
         if buf.is_empty() {
@@ -624,7 +661,7 @@ impl<R: BufRead> Reader<R> {
             return Ok(Fast::Skipped);
         }
         if buf[0] == b'<' {
-            self.src.consume(1);
+            src.consume(1);
             self.offset += 1;
             self.fast_bytes += 1;
             self.in_tag = true;
@@ -665,7 +702,7 @@ impl<R: BufRead> Reader<R> {
             self.slot = Slot::SrcText { len: pos };
             Ok(Fast::Emitted)
         } else {
-            self.src.consume(pos + 1);
+            src.consume(pos + 1);
             Ok(Fast::Skipped)
         }
     }
@@ -674,9 +711,8 @@ impl<R: BufRead> Reader<R> {
     /// `>` sits inside the buffered window. Everything else (comments,
     /// CDATA, DOCTYPE, PIs, attributes, unicode names, mismatch errors)
     /// falls back to the general path, which re-reads the same bytes.
-    fn fast_tag(&mut self) -> Result<Fast, XmlError> {
-        let buf = self
-            .src
+    fn fast_tag<R: BufRead>(&mut self, src: &mut R) -> Result<Fast, XmlError> {
+        let buf = src
             .fill_buf()
             .map_err(|e| XmlError { kind: XmlErrorKind::Io(e.to_string()), offset: self.offset })?;
         let mut delta = ensure_index(self.scanner, &mut self.sidx, self.offset, buf);
@@ -698,7 +734,7 @@ impl<R: BufRead> Reader<R> {
                     Some(&(off, _)) if self.stack_buf.as_bytes()[off as usize..] == *name => {
                         // Emit straight from the stack arena; the pop is
                         // deferred until the borrow ends (next pull).
-                        self.src.consume(pos + 1);
+                        src.consume(pos + 1);
                         self.offset += pos as u64 + 1;
                         self.fast_bytes += pos as u64 + 1;
                         self.slot = Slot::StackPop;
@@ -723,7 +759,7 @@ impl<R: BufRead> Reader<R> {
                 let self_closing = match body.len() - i {
                     0 => false,
                     1 if body[i] == b'/' => true,
-                    _ => return self.fast_attr_tag(delta, pos, i),
+                    _ => return self.fast_attr_tag(src, delta, pos, i),
                 };
                 let name = std::str::from_utf8(&body[..i]).expect("ASCII-checked name");
                 let id = resolve_counted(
@@ -749,7 +785,7 @@ impl<R: BufRead> Reader<R> {
                     name,
                     self_closing,
                 );
-                self.src.consume(pos + 1);
+                src.consume(pos + 1);
                 self.offset += pos as u64 + 1;
                 self.fast_bytes += pos as u64 + 1;
                 self.slot = if self_closing { Slot::StartName } else { Slot::StackTop };
@@ -772,8 +808,9 @@ impl<R: BufRead> Reader<R> {
     /// `delta` is the window start's position in the structural index,
     /// `pos` the index of the closing `>` in the buffered window, and
     /// `name_len` the length of the already-validated element name.
-    fn fast_attr_tag(
+    fn fast_attr_tag<R: BufRead>(
         &mut self,
+        src: &mut R,
         delta: usize,
         pos: usize,
         name_len: usize,
@@ -781,32 +818,11 @@ impl<R: BufRead> Reader<R> {
         if matches!(self.opts.attributes, AttributeMode::Reject) {
             return Ok(Fast::Fallback); // pure error path; let the slow path report it
         }
-        // Split borrows: the window borrows `src` while the pending arena,
-        // scratch buffers and element stack are written.
-        let Reader {
-            src,
-            opts,
-            symbols,
-            sidx,
-            stack,
-            stack_buf,
-            pending,
-            pending_pos,
-            slot,
-            cur_id,
-            name_buf,
-            synth_buf,
-            attr_spans,
-            offset,
-            seen_root,
-            quick_hits,
-            quick_misses,
-            ..
-        } = self;
         let buf = src
             .fill_buf()
-            .map_err(|e| XmlError { kind: XmlErrorKind::Io(e.to_string()), offset: *offset })?;
+            .map_err(|e| XmlError { kind: XmlErrorKind::Io(e.to_string()), offset: self.offset })?;
         let body = &buf[..pos];
+        let ParseState { sidx, attr_spans, pending, pending_pos, stack, stack_buf, .. } = self;
         // `fast_tag` just found the `>` through this same (unconsumed)
         // window, so the index covers at least `delta + pos + 1` bytes and
         // is queried here at `delta`-shifted positions.
@@ -860,17 +876,18 @@ impl<R: BufRead> Reader<R> {
         }
         // Phase 2: commit. All slices are ASCII-checked above.
         let name = std::str::from_utf8(&body[..name_len]).expect("ASCII-checked name");
-        let symbols: &Option<Arc<Symbols>> = symbols;
-        let mut resolve = |n: &str| resolve_counted(symbols, quick_hits, quick_misses, n);
+        let mut resolve = |n: &str| {
+            resolve_counted(&self.symbols, &mut self.quick_hits, &mut self.quick_misses, n)
+        };
         let id = resolve(name);
-        *seen_root = true;
-        let emitted = if attr_spans.is_empty() || matches!(opts.attributes, AttributeMode::Drop) {
+        self.seen_root = true;
+        let emitted = if attr_spans.is_empty() || self.opts.attributes == AttributeMode::Drop {
             // `<a  >` / drop mode: a plain start tag.
             open_element(pending, pending_pos, stack, stack_buf, id, name, self_closing);
-            *slot = if self_closing {
-                *cur_id = id;
-                name_buf.clear();
-                name_buf.push_str(name);
+            self.slot = if self_closing {
+                self.cur_id = id;
+                self.name_buf.clear();
+                self.name_buf.push_str(name);
                 Slot::StartName
             } else {
                 Slot::StackTop
@@ -888,7 +905,8 @@ impl<R: BufRead> Reader<R> {
             for &(ns, ne, vs, ve) in attr_spans.iter() {
                 let attr = std::str::from_utf8(&body[ns as usize..ne as usize])
                     .expect("ASCII-checked attribute name");
-                converted_name_into(name, attr, synth_buf);
+                converted_name_into(name, attr, &mut self.synth_buf);
+                let synth_buf = &self.synth_buf;
                 let sub_id = resolve(synth_buf);
                 pending.push_start(sub_id, synth_buf);
                 if ve > vs {
@@ -901,7 +919,7 @@ impl<R: BufRead> Reader<R> {
             open_element(pending, pending_pos, stack, stack_buf, id, name, self_closing);
             false // caller loop pops from `pending`
         };
-        self.src.consume(pos + 1);
+        src.consume(pos + 1);
         self.offset += pos as u64 + 1;
         self.fast_bytes += pos as u64 + 1;
         Ok(if emitted { Fast::Emitted } else { Fast::Skipped })
@@ -933,10 +951,9 @@ impl<R: BufRead> Reader<R> {
 
     /// Parse one `<…>` construct (the leading `<` is already consumed).
     /// Returns true when an event was produced (in `slot` or `pending`).
-    fn parse_tag(&mut self) -> Result<bool, XmlError> {
+    fn parse_tag<R: BufRead>(&mut self, src: &mut R) -> Result<bool, XmlError> {
         self.raw.clear();
-        let n = self
-            .src
+        let n = src
             .read_until(b'>', &mut self.raw)
             .map_err(|e| XmlError { kind: XmlErrorKind::Io(e.to_string()), offset: self.offset })?;
         self.offset += n as u64;
@@ -949,7 +966,7 @@ impl<R: BufRead> Reader<R> {
         // Comments, CDATA and DOCTYPE may legitimately contain '>'.
         if self.raw.starts_with(b"!--") {
             while !self.raw.ends_with(b"--") || self.raw.len() < 5 {
-                let m = self.src.read_until(b'>', &mut self.raw).map_err(|e| XmlError {
+                let m = src.read_until(b'>', &mut self.raw).map_err(|e| XmlError {
                     kind: XmlErrorKind::Io(e.to_string()),
                     offset: self.offset,
                 })?;
@@ -970,7 +987,7 @@ impl<R: BufRead> Reader<R> {
             while !self.raw.ends_with(b"]]") {
                 // The '>' we consumed was CDATA content, not the terminator.
                 self.raw.push(b'>');
-                let m = self.src.read_until(b'>', &mut self.raw).map_err(|e| XmlError {
+                let m = src.read_until(b'>', &mut self.raw).map_err(|e| XmlError {
                     kind: XmlErrorKind::Io(e.to_string()),
                     offset: self.offset,
                 })?;
@@ -1001,7 +1018,7 @@ impl<R: BufRead> Reader<R> {
             let mut depth = self.raw.iter().filter(|&&b| b == b'[').count() as i64
                 - self.raw.iter().filter(|&&b| b == b']').count() as i64;
             while depth > 0 {
-                let m = self.src.read_until(b'>', &mut self.raw).map_err(|e| XmlError {
+                let m = src.read_until(b'>', &mut self.raw).map_err(|e| XmlError {
                     kind: XmlErrorKind::Io(e.to_string()),
                     offset: self.offset,
                 })?;
@@ -1167,60 +1184,165 @@ impl<R: BufRead> Reader<R> {
             }
         }
     }
-
-    /// Drain the whole document into owned events (testing convenience).
-    pub fn read_to_end(&mut self) -> Result<Vec<OwnedEvent>, XmlError> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.next_event()? {
-            out.push(ev.to_owned());
-        }
-        Ok(out)
-    }
 }
 
-/// The byte source of the incremental (sans-IO) reader: bytes arrive via
-/// [`Reader::feed`] and are parsed in place — no worker thread, no blocking
-/// reads. `fill_buf` exposes the whole unconsumed window, so the zero-copy
-/// fast paths see maximal runs; running out of fed bytes is recorded in
-/// `hit_end`, which [`Reader::poll_resolved`] uses to distinguish "no more
-/// bytes *yet*" from true end of input and to roll back parse attempts that
-/// ran off the end.
+/// The bytes an incremental (sans-IO) reader owns between calls — no worker
+/// thread, no blocking reads. After an in-place feed
+/// ([`Reader::feed_in_place`]) `buf` is the *carry*: the unparsed tail of
+/// the one construct the chunk ended in, nothing more. The owning door
+/// ([`Reader::feed`]) appends whole chunks to the same buffer — the
+/// degenerate case "the window is the carry" — and reclaims the parsed
+/// prefix on the next feed. Running out of window is recorded in `hit_end`,
+/// which the parse uses to distinguish "no more bytes *yet*" from true end
+/// of input and to roll back attempts that ran off the end.
 #[derive(Debug, Default)]
 pub struct FeedSource {
     buf: Vec<u8>,
+    /// Parse position in the active window (see [`Window`]).
     pos: usize,
     closed: bool,
-    /// A read touched the end of the fed bytes while the source was open.
+    /// A read touched the end of the window while the source was open.
     hit_end: bool,
-    /// Text-scan position hint: `buf[pos..lt_scanned]` is known to contain
-    /// no `<`. A text run fed in many tiny chunks is scanned once per
-    /// *byte*, not once per *poll* — without the hint every poll re-scans
-    /// the run from its start, worst-case O(n²) on pathological
-    /// fragmentation. Maintained by [`Reader::poll_resolved`]; may lag
-    /// behind `pos` (then it is simply ignored).
+    /// Text-scan position hint: `window[pos..lt_scanned]` is known to
+    /// contain no `<`. A text run fed in many tiny chunks is scanned once
+    /// per *byte*, not once per *poll* — without the hint every poll
+    /// re-scans the run from its start, worst-case O(n²) on pathological
+    /// fragmentation. May lag behind `pos` (then it is simply ignored).
     lt_scanned: usize,
-    /// Window generation counter, bumped on every [`FeedSource::feed`].
-    /// Tape window spans record the epoch they were taken against, so
-    /// materializing a stale span (after the compaction in `feed` shifted
-    /// the buffer) is caught in debug builds.
+    /// Window generation, bumped whenever window offsets change meaning (a
+    /// feed, a compaction, a switch between carry and chunk). Tape window
+    /// spans record the generation they were taken against, so
+    /// materializing a stale span is caught in debug builds.
     epoch: u64,
 }
 
+/// Capacity the carry may keep while (nearly) empty, so steady-state feeds
+/// whose chunks end mid-construct do not allocate.
+const CARRY_KEEP: usize = 4096;
+
+/// First stitch prefix: how many bytes of a new chunk are copied behind a
+/// non-empty carry before the first parse attempt (doubling from there).
+const STITCH_MIN: usize = 64;
+
 impl FeedSource {
-    fn feed(&mut self, bytes: &[u8]) {
-        // Reclaim the committed prefix before growing: a long-lived session
-        // retains only the unparsed tail, not the whole document so far.
+    /// Reclaim the parsed prefix, and hand back capacity the tail no longer
+    /// needs: `drain` and `clear` keep capacity, so without this a reader
+    /// that once buffered a 1 MiB chunk (or construct) would pin 1 MiB for
+    /// life while reporting a few unconsumed bytes.
+    fn compact(&mut self) {
         if self.pos > 0 {
             self.buf.drain(..self.pos);
             self.lt_scanned = self.lt_scanned.saturating_sub(self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
-        self.epoch += 1;
+        if self.buf.capacity() > CARRY_KEEP.max(4 * self.buf.len()) {
+            self.buf.shrink_to(2 * self.buf.len());
+        }
     }
 }
 
-impl io::Read for FeedSource {
+/// The bytes one parse call runs over: the source's own buffer, or — during
+/// an in-place feed — the caller's chunk. A feed that finds a carry first
+/// *stitches*: it copies a short prefix of the chunk behind the carry and
+/// parses from that buffer until the position passes the old carry's end,
+/// then switches to the chunk itself at the matching offset
+/// ([`Window::advance`]). `src.pos`/`src.lt_scanned` always refer to the
+/// active window.
+struct Window<'a> {
+    src: &'a mut FeedSource,
+    /// The chunk being fed (empty for the owning door).
+    chunk: &'a [u8],
+    /// The active window is `chunk`, not `src.buf`.
+    in_chunk: bool,
+    /// Carry length when the feed began.
+    tail: usize,
+    /// Chunk bytes copied behind the carry so far.
+    taken: usize,
+    /// The parse reported the end of the fed bytes: whatever is unparsed is
+    /// the tail the next feed needs.
+    exhausted: bool,
+}
+
+impl<'a> Window<'a> {
+    /// The owning door: the window is whatever the source holds.
+    fn owned(src: &'a mut FeedSource) -> Self {
+        Window { src, chunk: &[], in_chunk: false, tail: 0, taken: 0, exhausted: false }
+    }
+
+    /// Start an in-place feed of `chunk`.
+    fn over(src: &'a mut FeedSource, chunk: &'a [u8]) -> Self {
+        src.compact();
+        src.epoch += 1;
+        let tail = src.buf.len();
+        let mut win = Window { src, chunk, in_chunk: tail == 0, tail, taken: 0, exhausted: false };
+        if win.in_chunk {
+            win.src.lt_scanned = 0;
+        } else {
+            win.stitch_more();
+        }
+        win
+    }
+
+    fn bytes(&self) -> &[u8] {
+        if self.in_chunk {
+            self.chunk
+        } else {
+            &self.src.buf
+        }
+    }
+
+    /// Copy the next (doubling) prefix of the chunk behind the carry.
+    fn stitch_more(&mut self) {
+        let more = (self.chunk.len() - self.taken).min(self.taken.max(STITCH_MIN));
+        self.src.buf.extend_from_slice(&self.chunk[self.taken..self.taken + more]);
+        self.taken += more;
+    }
+
+    /// The parse ran out of window. Returns `true` when this feed has more
+    /// bytes to offer — the rest of the chunk in place once the position is
+    /// past everything the carry held, a longer stitch otherwise — and the
+    /// attempt should be repeated. Events the tape recorded as spans into
+    /// the stitch buffer are turned into arena copies before that buffer is
+    /// dropped, so a batch never holds spans into two windows.
+    fn advance(&mut self, tape: &mut EventTape) -> bool {
+        if self.in_chunk || self.taken == self.chunk.len() {
+            self.exhausted = true;
+            return false;
+        }
+        if self.src.pos >= self.tail {
+            tape.own_spans(&self.src.buf);
+            self.src.pos -= self.tail;
+            self.src.lt_scanned = self.src.lt_scanned.saturating_sub(self.tail);
+            self.src.buf.clear();
+            self.src.epoch += 1;
+            tape.epoch = self.src.epoch;
+            self.in_chunk = true;
+        } else {
+            self.stitch_more();
+        }
+        true
+    }
+
+    /// End an in-place feed: the unparsed tail of the chunk becomes the
+    /// carry. A run that stopped early (a parse or engine error — the
+    /// reader is never polled again) carries nothing. A window that is the
+    /// source's own buffer (the owning door, or a chunk that fit the stitch
+    /// whole) stays as it is; the next feed compacts it.
+    fn park(&mut self) {
+        if !self.in_chunk {
+            return;
+        }
+        if self.exhausted {
+            self.src.buf.extend_from_slice(&self.chunk[self.src.pos..]);
+        }
+        self.src.lt_scanned = self.src.lt_scanned.saturating_sub(self.src.pos);
+        self.src.pos = 0;
+        self.src.epoch += 1;
+        self.src.compact();
+    }
+}
+
+impl io::Read for Window<'_> {
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
         let avail = self.fill_buf()?;
         let n = avail.len().min(out.len());
@@ -1230,16 +1352,18 @@ impl io::Read for FeedSource {
     }
 }
 
-impl BufRead for FeedSource {
+/// `fill_buf` exposes the whole unconsumed window, so the zero-copy fast
+/// paths see maximal runs.
+impl BufRead for Window<'_> {
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        if self.pos >= self.buf.len() && !self.closed {
-            self.hit_end = true;
+        if self.src.pos >= self.bytes().len() && !self.src.closed {
+            self.src.hit_end = true;
         }
-        Ok(&self.buf[self.pos..])
+        Ok(&self.bytes()[self.src.pos..])
     }
 
     fn consume(&mut self, amt: usize) {
-        self.pos = (self.pos + amt).min(self.buf.len());
+        self.src.pos = (self.src.pos + amt).min(self.bytes().len());
     }
 }
 
@@ -1267,7 +1391,7 @@ pub enum TapeFill {
     End,
 }
 
-/// Outcome of one [`Reader::skip_events`] structural fast-forward.
+/// Outcome of one [`InPlace::skip_events`] structural fast-forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipPoll {
     /// The subtree is fully scanned past: `events` interior events were
@@ -1283,14 +1407,19 @@ pub enum SkipPoll {
 }
 
 /// Rollback point for the incremental mode: everything an event-parse
-/// attempt may mutate *before* the construct is known to fit in the fed
-/// bytes. State the parser only touches once a construct is complete
-/// (pending-arena reclaim, element-stack pops) needs no undo — completion
-/// is immediately followed by event delivery, never by another source read.
+/// attempt may mutate *before* the construct is known to fit in the
+/// window, the byte counters included — so a repeated attempt (more bytes
+/// arrived, or the window moved from a stitch to the chunk) counts every
+/// stream byte once. State the parser only touches once a construct is
+/// complete (pending-arena reclaim, element-stack pops) needs no undo —
+/// completion is immediately followed by event delivery, never by another
+/// source read.
 #[derive(Clone, Copy)]
 struct Checkpoint {
     src_pos: usize,
     offset: u64,
+    fast_bytes: u64,
+    general_bytes: u64,
     seen_root: bool,
     in_tag: bool,
     finished: bool,
@@ -1298,6 +1427,17 @@ struct Checkpoint {
     stack_buf_len: usize,
     pending_len: usize,
     pending_pos: usize,
+}
+
+/// Outcome of one rolled-back-on-exhaustion step of the general machinery
+/// ([`ParseState::try_advance`]).
+enum Step {
+    /// An event is parsed and described by the slot.
+    Event,
+    /// The window ended mid-construct; the state is back at the checkpoint.
+    NeedMoreData,
+    /// The source is closed and the document fully parsed.
+    End,
 }
 
 impl Reader<FeedSource> {
@@ -1318,8 +1458,40 @@ impl Reader<FeedSource> {
 
     /// Append the next chunk of the document. Chunks may split the XML at
     /// any byte boundary, including inside tags and multi-byte characters.
+    ///
+    /// This is the *owning* door: every byte of `bytes` is copied into the
+    /// reader's buffer and stays there until a later feed reclaims the
+    /// parsed prefix, which lets [`Reader::poll_resolved`],
+    /// [`Reader::fill_tape`] and [`Reader::tape_event`] be called at
+    /// leisure afterwards. A caller that can parse while it still holds
+    /// the chunk uses [`Reader::feed_in_place`], which copies only the
+    /// unparsed tail.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.src.feed(bytes);
+        self.src.compact();
+        self.src.buf.extend_from_slice(bytes);
+        self.src.epoch += 1;
+    }
+
+    /// Feed the next chunk *without copying it*: for the lifetime of the
+    /// returned [`InPlace`] the reader's window is `chunk` itself, and
+    /// every parse call on it runs over the caller's bytes where they lie.
+    /// Only what cannot be parsed yet — the tail of the one tag or text run
+    /// the chunk ends in — is copied, into a small carry, when the
+    /// [`InPlace`] is dropped; the next feed stitches that carry to a short
+    /// prefix of its chunk to get across the seam. The event stream, every
+    /// error and its offset, and the serialized state are identical to
+    /// [`Reader::feed`] with the same chunks.
+    ///
+    /// Drive the parse to [`TapeFill::NeedMoreData`] / [`SkipPoll::More`]
+    /// before dropping: bytes a feed leaves unparsed for any other reason
+    /// (the caller stopped on an error) are not carried.
+    pub fn feed_in_place<'a>(&'a mut self, chunk: &'a [u8]) -> InPlace<'a> {
+        InPlace { st: &mut self.st, win: Window::over(&mut self.src, chunk) }
+    }
+
+    /// The owning door's view of its own buffer.
+    fn window(&mut self) -> InPlace<'_> {
+        InPlace { st: &mut self.st, win: Window::owned(&mut self.src) }
     }
 
     /// Signal end of input: subsequent polls parse to completion instead of
@@ -1346,62 +1518,118 @@ impl Reader<FeedSource> {
     /// identical to a blocking [`Reader::next_resolved`] run over the
     /// concatenation of the chunks.
     pub fn poll_resolved(&mut self) -> Result<Polled<'_>, XmlError> {
-        if self.defer_consume > 0 {
-            // Commit the previous event's deferred window before taking the
-            // checkpoint: its bytes are delivered and must never re-parse.
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
+        let Reader { src, st } = self;
+        let mut win = Window::owned(src);
+        // Commit the previous event's deferred borrows before taking the
+        // checkpoint: its bytes are delivered and must never re-parse, and
+        // rollback can only truncate the element stack.
+        st.commit_deferred(&mut win);
+        if st.text_needs_more(&mut win) {
+            return Ok(Polled::NeedMoreData);
         }
-        if let Slot::StackPop = self.slot {
-            // Likewise for a delivered End event's deferred pop: rollback
-            // can only truncate, so the pop must precede the checkpoint.
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
-        // Text-scan fast exit: at a quiescent point outside a tag, no event
-        // can complete before the next `<` arrives (a text run only ends at
-        // `<` or at close). Scan just the bytes the hint has not covered —
-        // the parse attempt below would otherwise re-scan (and the general
-        // path re-copy) the whole pending run on every poll, O(n²) when a
-        // long run is fed in tiny chunks.
-        if !self.in_tag
-            && !self.finished
-            && !self.src.closed
-            && self.pending_pos >= self.pending.len()
-        {
-            let from = self.src.pos.max(self.src.lt_scanned);
-            match self.scanner.find_byte(b'<', &self.src.buf[from..]) {
-                Some(i) => self.src.lt_scanned = from + i,
-                None => {
-                    self.src.lt_scanned = self.src.buf.len();
-                    return Ok(Polled::NeedMoreData);
-                }
-            }
-        }
-        let cp = self.checkpoint();
-        self.src.hit_end = false;
-        match self.advance() {
-            Ok(true) => {
-                debug_assert!(
-                    !self.src.hit_end || self.src.closed,
-                    "an emitted event must not depend on bytes past the fed window"
-                );
-                Ok(Polled::Event(self.current()?))
-            }
-            Ok(false) if self.src.hit_end && !self.src.closed => {
-                self.restore(cp);
-                Ok(Polled::NeedMoreData)
-            }
-            Ok(false) => Ok(Polled::End),
-            Err(_) if self.src.hit_end && !self.src.closed => {
-                self.restore(cp);
-                Ok(Polled::NeedMoreData)
-            }
-            Err(e) => Err(e),
-        }
+        let cp = st.checkpoint(&win);
+        Ok(match st.try_advance(&mut win, cp)? {
+            Step::Event => Polled::Event(st.current(&src.buf[src.pos..])),
+            Step::NeedMoreData => Polled::NeedMoreData,
+            Step::End => Polled::End,
+        })
     }
 
+    /// [`InPlace::fill_tape`] over the reader's own buffer. Everything
+    /// recorded must be drained (via [`Reader::tape_event`]) before the
+    /// next [`Reader::feed`], which reclaims the bytes the tape's window
+    /// spans point into.
+    pub fn fill_tape(&mut self, tape: &mut EventTape) -> Result<TapeFill, XmlError> {
+        self.window().fill_tape(tape)
+    }
+
+    /// [`InPlace::tape_event`] for a batch filled by [`Reader::fill_tape`].
+    #[inline]
+    pub fn tape_event<'a>(&'a self, tape: &'a EventTape, i: usize) -> ResolvedEvent<'a> {
+        tape_event(&self.src.buf, self.src.epoch, tape, i)
+    }
+
+    /// Serialize the complete resumable parse state at a quiescent point
+    /// (the last poll returned [`Polled::NeedMoreData`] or [`Polled::End`]).
+    ///
+    /// What is written: the unconsumed byte window (the tail of an
+    /// incomplete construct), the stream offset of that window's start —
+    /// which is exactly where a restored reader re-anchors its
+    /// [`StructuralIndex`] — the open-element stack with resolved ids, the
+    /// parser phase flags, and the per-path telemetry counters. The
+    /// structural index itself, the scan hints and all scratch buffers are
+    /// *re-derivable caches* and are deliberately not part of the format.
+    pub fn state_save(&self, enc: &mut flux_state::Enc) -> Result<(), flux_state::StateError> {
+        let st = &self.st;
+        if st.defer_consume > 0 || matches!(st.slot, Slot::StackPop) {
+            return Err(flux_state::StateError::NotQuiescent(
+                "reader holds a deferred event borrow",
+            ));
+        }
+        if st.pending_pos < st.pending.len() {
+            return Err(flux_state::StateError::NotQuiescent(
+                "reader has undelivered pending events",
+            ));
+        }
+        enc.put_bytes(&self.src.buf[self.src.pos..]);
+        enc.put_bool(self.src.closed);
+        enc.put_uint(st.offset);
+        enc.put_bool(st.seen_root);
+        enc.put_bool(st.in_tag);
+        enc.put_bool(st.finished);
+        enc.put_usize(st.stack.len());
+        for (i, &(off, id)) in st.stack.iter().enumerate() {
+            let end = st.stack.get(i + 1).map_or(st.stack_buf.len(), |&(next, _)| next as usize);
+            enc.put_uint(u64::from(id.0));
+            enc.put_str(&st.stack_buf[off as usize..end]);
+        }
+        enc.put_uint(st.fast_bytes);
+        enc.put_uint(st.general_bytes);
+        Ok(())
+    }
+
+    /// Rebuild an incremental reader saved by [`Reader::state_save`].
+    /// `opts` and `symbols` come from the compiled plan the snapshot was
+    /// taken against (the caller has already verified the plan
+    /// fingerprint); the structural index re-anchors lazily at the restored
+    /// offset on the first poll.
+    pub fn state_restore(
+        opts: ReaderOptions,
+        symbols: Arc<Symbols>,
+        dec: &mut flux_state::Dec<'_>,
+    ) -> Result<Reader<FeedSource>, flux_state::StateError> {
+        let mut r = Reader::incremental_with_symbols(opts, symbols);
+        r.src.buf = dec.get_bytes()?.to_vec();
+        r.src.closed = dec.get_bool()?;
+        let st = &mut r.st;
+        st.offset = dec.get_uint()?;
+        st.seen_root = dec.get_bool()?;
+        st.in_tag = dec.get_bool()?;
+        st.finished = dec.get_bool()?;
+        let depth = dec.get_count()?;
+        for _ in 0..depth {
+            let id = u32::try_from(dec.get_uint()?)
+                .map_err(|_| flux_state::StateError::Corrupt("NameId exceeds u32"))?;
+            let name = dec.get_str()?;
+            let off = st.stack_buf.len() as u32;
+            st.stack_buf.push_str(name);
+            st.stack.push((off, NameId(id)));
+        }
+        st.fast_bytes = dec.get_uint()?;
+        st.general_bytes = dec.get_uint()?;
+        Ok(r)
+    }
+}
+
+/// An incremental reader while one chunk is being fed in place (see
+/// [`Reader::feed_in_place`]): the batched parse calls, run over the
+/// caller's bytes. Dropping it ends the feed and carries the unparsed tail.
+pub struct InPlace<'a> {
+    st: &'a mut ParseState,
+    win: Window<'a>,
+}
+
+impl InPlace<'_> {
     /// Parse as many events as fit into one tape batch. See
     /// [`crate::tape`] for the lifecycle; this is the batched sibling of
     /// [`Reader::poll_resolved`] — same state machine, same rollback
@@ -1411,23 +1639,149 @@ impl Reader<FeedSource> {
     ///
     /// On [`TapeFill::NeedMoreData`] only the trailing *partial* construct
     /// is rolled back; everything recorded stands and must be drained
-    /// (via [`Reader::tape_event`]) before the next [`Reader::feed`],
-    /// which compacts the window the tape's text spans point into.
+    /// (via [`InPlace::tape_event`]) before this feed ends — the tape's
+    /// window spans point into the chunk.
     pub fn fill_tape(&mut self, tape: &mut EventTape) -> Result<TapeFill, XmlError> {
+        self.st.fill_tape(&mut self.win, tape)
+    }
+
+    /// Materialize one recorded tape event. Window spans borrow the chunk
+    /// being fed (or, for the owning door, the reader's buffer); arena
+    /// spans borrow the tape.
+    #[inline]
+    pub fn tape_event<'t>(&'t self, tape: &'t EventTape, i: usize) -> ResolvedEvent<'t> {
+        tape_event(self.win.bytes(), self.win.src.epoch, tape, i)
+    }
+
+    /// Structurally fast-forward over a subtree the consumer declared dead
+    /// (a pump reporting `SkipSubtree`): parse past events until the end
+    /// tag closing the subtree — `depth` unclosed levels deep at entry —
+    /// is next, *counting* them but never recording, materializing or
+    /// copying them. The common shape — entity-free text runs and
+    /// attribute-free ASCII tags — costs one structural-index probe and a
+    /// counter update per event; everything else (attributes, entities,
+    /// comments, CDATA, window-crossing constructs) takes exactly one step
+    /// of the identical general machinery per event.
+    ///
+    /// Transparency: byte accounting, name interning, stack discipline and
+    /// error surfacing mirror [`InPlace::fill_tape`] pulling the same
+    /// events, and a window-exhausted return rolls back to the same event
+    /// boundary a per-event poll would report `NeedMoreData` from — so a
+    /// snapshot taken at any quiescent point is byte-identical to a run
+    /// that delivered every event.
+    ///
+    /// `tape` must be drained; it is written only when the general
+    /// machinery has already committed the closing end tag, which then
+    /// rides back as the tape's single event (see [`SkipPoll::Closed`]).
+    pub fn skip_events(&mut self, depth: u32, tape: &mut EventTape) -> Result<SkipPoll, XmlError> {
+        self.st.skip_events(&mut self.win, depth, tape)
+    }
+}
+
+impl Drop for InPlace<'_> {
+    fn drop(&mut self) {
+        self.win.park();
+    }
+}
+
+/// Materialize tape item `i` against the window its spans were recorded in.
+#[inline]
+fn tape_event<'a>(
+    window: &'a [u8],
+    epoch: u64,
+    tape: &'a EventTape,
+    i: usize,
+) -> ResolvedEvent<'a> {
+    let it = tape.item(i);
+    let payload: &str = if it.window {
+        debug_assert_eq!(tape.epoch, epoch, "tape drained after its window moved");
+        let run = &window[it.off as usize..(it.off + it.len) as usize];
+        debug_assert!(std::str::from_utf8(run).is_ok(), "window spans are verified UTF-8");
+        // SAFETY: window spans are recorded only for bytes known to be
+        // UTF-8 — scanner-verified ASCII (clean `SrcText` runs, lean burst
+        // start tags: first byte ASCII-checked, rest a `name_run`) or, for
+        // a lean end tag, bytes equal to the open element's name, a `str`;
+        // the window has not moved between record and drain
+        // (generation-checked above).
+        unsafe { std::str::from_utf8_unchecked(run) }
+    } else {
+        tape.arena_str(it.off, it.len)
+    };
+    match it.kind {
+        TapeKind::Start => ResolvedEvent::Start(it.id, payload),
+        TapeKind::End => ResolvedEvent::End(it.id, payload),
+        TapeKind::Text => ResolvedEvent::Text(payload),
+    }
+}
+
+impl ParseState {
+    /// Text-scan fast exit: at a quiescent point outside a tag, no event
+    /// can complete before the next `<` arrives (a text run only ends at
+    /// `<` or at close). Scans just the bytes the hint has not covered —
+    /// a parse attempt would otherwise re-scan (and the general path
+    /// re-copy) the whole pending run on every poll, O(n²) when a long run
+    /// is fed in tiny chunks. Returns `true` when the window holds no `<`.
+    fn text_needs_more(&mut self, win: &mut Window<'_>) -> bool {
+        if self.in_tag || self.finished || win.src.closed || self.pending_pos < self.pending.len() {
+            return false;
+        }
+        let from = win.src.pos.max(win.src.lt_scanned);
+        let hit = self.scanner.find_byte(b'<', &win.bytes()[from..]);
+        win.src.lt_scanned = hit.map_or(win.bytes().len(), |i| from + i);
+        hit.is_none()
+    }
+
+    /// One step of the general machinery from `cp`, the last event
+    /// boundary: an attempt that runs off the end of an open window is
+    /// rolled back to `cp` instead of surfacing its (premature) outcome.
+    fn try_advance(&mut self, win: &mut Window<'_>, cp: Checkpoint) -> Result<Step, XmlError> {
+        win.src.hit_end = false;
+        let res = self.advance(win);
+        let ran_out = win.src.hit_end && !win.src.closed;
+        match res {
+            Ok(true) => {
+                debug_assert!(
+                    !ran_out,
+                    "an emitted event must not depend on bytes past the fed window"
+                );
+                Ok(Step::Event)
+            }
+            Ok(false) if !ran_out => Ok(Step::End),
+            Err(e) if !ran_out => Err(e),
+            _ => {
+                self.restore(win, cp);
+                Ok(Step::NeedMoreData)
+            }
+        }
+    }
+
+    /// See [`InPlace::fill_tape`].
+    fn fill_tape(
+        &mut self,
+        win: &mut Window<'_>,
+        tape: &mut EventTape,
+    ) -> Result<TapeFill, XmlError> {
         debug_assert!(tape.is_empty(), "previous batch must be drained before a refill");
         tape.clear();
-        tape.epoch = self.src.epoch;
+        tape.epoch = win.src.epoch;
         // Commit borrows a preceding per-event pull may have left open
         // (the two modes may be mixed freely on one reader).
-        if self.defer_consume > 0 {
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
+        self.commit_deferred(win);
+        loop {
+            match self.fill_window(win, tape)? {
+                // Out of stitch, not out of chunk: the batch continues.
+                TapeFill::NeedMoreData if win.advance(tape) => {}
+                fill => return Ok(fill),
+            }
         }
-        if let Slot::StackPop = self.slot {
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
+    }
+
+    /// [`ParseState::fill_tape`] up to the end of the active window.
+    fn fill_window(
+        &mut self,
+        win: &mut Window<'_>,
+        tape: &mut EventTape,
+    ) -> Result<TapeFill, XmlError> {
         loop {
             if tape.is_full() {
                 return Ok(TapeFill::Full);
@@ -1436,52 +1790,24 @@ impl Reader<FeedSource> {
             // straight off the window; the document edges, pending drains
             // and everything non-lean take the per-event machinery below.
             if !self.finished && self.pending_pos >= self.pending.len() && !self.stack.is_empty() {
-                if let Some(fill) = self.fill_burst(tape)? {
+                if let Some(fill) = self.fill_burst(win, tape)? {
                     return Ok(fill);
                 }
                 continue;
             }
-            // Text-scan fast exit, exactly as in `poll_resolved`: outside a
-            // tag no event can complete before the next `<` arrives.
-            if !self.in_tag
-                && !self.finished
-                && !self.src.closed
-                && self.pending_pos >= self.pending.len()
-            {
-                let from = self.src.pos.max(self.src.lt_scanned);
-                match self.scanner.find_byte(b'<', &self.src.buf[from..]) {
-                    Some(i) => self.src.lt_scanned = from + i,
-                    None => {
-                        self.src.lt_scanned = self.src.buf.len();
-                        return Ok(TapeFill::NeedMoreData);
-                    }
-                }
+            if self.text_needs_more(win) {
+                return Ok(TapeFill::NeedMoreData);
             }
-            let cp = self.checkpoint();
-            self.src.hit_end = false;
-            match self.advance() {
-                Ok(true) => {
-                    debug_assert!(
-                        !self.src.hit_end || self.src.closed,
-                        "an emitted event must not depend on bytes past the fed window"
-                    );
-                    self.record(tape);
-                }
-                Ok(false) if self.src.hit_end && !self.src.closed => {
-                    self.restore(cp);
-                    return Ok(TapeFill::NeedMoreData);
-                }
-                Ok(false) => return Ok(TapeFill::End),
-                Err(_) if self.src.hit_end && !self.src.closed => {
-                    self.restore(cp);
-                    return Ok(TapeFill::NeedMoreData);
-                }
-                Err(e) => return Err(e),
+            let cp = self.checkpoint(win);
+            match self.try_advance(win, cp)? {
+                Step::Event => self.record(win, tape),
+                Step::NeedMoreData => return Ok(TapeFill::NeedMoreData),
+                Step::End => return Ok(TapeFill::End),
             }
         }
     }
 
-    /// One lean recording burst inside [`Reader::fill_tape`]: walk the fed
+    /// One lean recording burst inside [`ParseState::fill_tape`]: walk the
     /// window *without consuming*, recording entity-free clean text runs
     /// and attribute-free ASCII tags straight onto the tape as window
     /// spans — no advance/slot handshake, no per-event checkpoint, no
@@ -1489,14 +1815,18 @@ impl Reader<FeedSource> {
     /// committed in bulk at burst exits; `(b_lpos, b_in_tag)` track the
     /// last event boundary so a window-exhausted exit rolls back to
     /// exactly the state a per-event fill would report `NeedMoreData`
-    /// from (see [`Reader::skip_events`], which uses the same discipline
-    /// without the recording).
+    /// from (see [`ParseState::skip_events`], which uses the same
+    /// discipline without the recording).
     ///
     /// Lean end tags are gated to `stack.len() >= 2` so closing the root
     /// (and the `finished` transition) always rides the general path.
     /// Returns `Some` when the fill is over, `None` after one general
     /// fallback step to let the caller re-enter.
-    fn fill_burst(&mut self, tape: &mut EventTape) -> Result<Option<TapeFill>, XmlError> {
+    fn fill_burst(
+        &mut self,
+        win: &mut Window<'_>,
+        tape: &mut EventTape,
+    ) -> Result<Option<TapeFill>, XmlError> {
         /// How the burst ended.
         enum BurstExit {
             /// A construct the burst does not handle: one general step.
@@ -1506,11 +1836,12 @@ impl Reader<FeedSource> {
             /// No `<` before the end of a still-open window.
             NoLt,
         }
-        let start = self.src.pos;
+        let start = win.src.pos;
         let off0 = self.offset;
-        let closed = self.src.closed;
+        let closed = win.src.closed;
         let keep_ws = self.opts.keep_whitespace;
-        let buf = &self.src.buf[start..];
+        let buf = &win.bytes()[start..];
+        let end = start + buf.len();
         let mut shift = ensure_index(self.scanner, &mut self.sidx, off0, buf) as isize;
         let mut lpos = 0usize;
         let mut in_tag = self.in_tag;
@@ -1617,88 +1948,65 @@ impl Reader<FeedSource> {
             b_in_tag = false;
         };
         match exit {
-            BurstExit::NoLt => {
-                // The text step always sits on an event boundary, so the
-                // walk position *is* the rollback point.
-                debug_assert_eq!(b_lpos, lpos, "text step is a boundary");
-                self.src.pos = start + b_lpos;
-                self.offset = off0 + b_lpos as u64;
-                self.fast_bytes += b_lpos as u64;
-                self.in_tag = b_in_tag;
+            BurstExit::NoLt | BurstExit::Full => {
+                // Both exits sit on an event boundary (the text step always
+                // does; the cap is checked at boundaries), so the walk
+                // position *is* the rollback point.
+                debug_assert_eq!(b_lpos, lpos, "exit on an event boundary");
+                self.commit_walk(win, lpos, in_tag);
+                if let BurstExit::Full = exit {
+                    return Ok(Some(TapeFill::Full));
+                }
                 // The poll fast-exit's scan hint: no `<` between the
                 // committed position and the window end.
-                self.src.lt_scanned = self.src.buf.len();
+                win.src.lt_scanned = end;
                 Ok(Some(TapeFill::NeedMoreData))
             }
-            BurstExit::Full => {
-                debug_assert_eq!(b_lpos, lpos, "the cap is checked at boundaries");
-                self.src.pos = start + b_lpos;
-                self.offset = off0 + b_lpos as u64;
-                self.fast_bytes += b_lpos as u64;
-                self.in_tag = b_in_tag;
-                Ok(Some(TapeFill::Full))
-            }
             BurstExit::Fallback => {
-                // One full per-event step from the committed position.
-                // Progress past the last boundary (a whitespace run and its
-                // `<`) is committed as fast-path bytes and the rollback
-                // point stays *behind* it — byte-for-byte what per-event
-                // delivery does when `fast_text` skips the run and the
-                // following construct then fails to fit the window
-                // (counters are never rolled back).
-                let cp = Checkpoint {
-                    src_pos: start + b_lpos,
-                    offset: off0 + b_lpos as u64,
-                    seen_root: self.seen_root,
-                    in_tag: b_in_tag,
-                    finished: false,
-                    stack_len: self.stack.len(),
-                    stack_buf_len: self.stack_buf.len(),
-                    pending_len: self.pending.len(),
-                    pending_pos: self.pending_pos,
-                };
-                self.src.pos = start + lpos;
-                self.offset = off0 + lpos as u64;
-                self.fast_bytes += lpos as u64;
-                self.in_tag = in_tag;
-                self.src.hit_end = false;
-                match self.advance() {
-                    Ok(true) => {
-                        debug_assert!(
-                            !self.src.hit_end || self.src.closed,
-                            "an emitted event must not depend on bytes past the fed window"
-                        );
-                        self.record(tape);
-                        Ok(None)
+                // One full per-event step from the walk position. The
+                // rollback point is the last event boundary *behind* it:
+                // progress past the boundary (a whitespace run and its `<`)
+                // is what per-event delivery has consumed when `fast_text`
+                // skips the run and the following construct then fails to
+                // fit the window, and is rolled back with it.
+                self.commit_walk(win, b_lpos, b_in_tag);
+                let cp = self.checkpoint(win);
+                self.commit_walk(win, lpos - b_lpos, in_tag);
+                Ok(match self.try_advance(win, cp)? {
+                    Step::Event => {
+                        self.record(win, tape);
+                        None
                     }
-                    Ok(false) if self.src.hit_end && !self.src.closed => {
-                        self.restore(cp);
-                        Ok(Some(TapeFill::NeedMoreData))
-                    }
-                    Ok(false) => Ok(Some(TapeFill::End)),
-                    Err(_) if self.src.hit_end && !self.src.closed => {
-                        self.restore(cp);
-                        Ok(Some(TapeFill::NeedMoreData))
-                    }
-                    Err(e) => Err(e),
-                }
+                    Step::NeedMoreData => Some(TapeFill::NeedMoreData),
+                    Step::End => Some(TapeFill::End),
+                })
             }
         }
     }
 
+    /// Commit `n` more bytes of a burst's walk — consumed, all of them on
+    /// the fast path — leaving the parse inside a tag or not.
+    fn commit_walk(&mut self, win: &mut Window<'_>, n: usize, in_tag: bool) {
+        win.src.pos += n;
+        self.offset += n as u64;
+        self.fast_bytes += n as u64;
+        self.in_tag = in_tag;
+    }
+
     /// Record the event described by `self.slot` onto the tape, committing
     /// any deferred borrow on the spot (the tape holds its own copy — or,
-    /// for zero-copy text, a window span that outlives the consume, since
-    /// the buffer is only compacted by the next `feed`).
-    fn record(&mut self, tape: &mut EventTape) {
+    /// for zero-copy text, a window span that outlives the consume: the
+    /// window's bytes stay put until the feed ends or, for the owning
+    /// door, the next one begins).
+    fn record(&mut self, win: &mut Window<'_>, tape: &mut EventTape) {
         match self.slot {
             Slot::Text => tape.push_arena(TapeKind::Text, NameId::UNKNOWN, &self.text_buf),
             Slot::SrcText { len } => {
-                debug_assert!(self.src.buf[self.src.pos..self.src.pos + len].is_ascii());
-                tape.push_window(TapeKind::Text, NameId::UNKNOWN, self.src.pos, len);
+                debug_assert!(win.bytes()[win.src.pos..win.src.pos + len].is_ascii());
+                tape.push_window(TapeKind::Text, NameId::UNKNOWN, win.src.pos, len);
                 // Release the window hold immediately: the recorded span
-                // stays addressable until the next feed.
-                self.src.consume(self.defer_consume);
+                // stays addressable for as long as the window does.
+                win.consume(self.defer_consume);
                 self.defer_consume = 0;
             }
             Slot::EndName => tape.push_arena(TapeKind::End, self.cur_id, &self.name_buf),
@@ -1725,68 +2033,20 @@ impl Reader<FeedSource> {
         self.slot = Slot::None;
     }
 
-    /// Materialize one recorded tape event. Window spans borrow the
-    /// reader's unconsumed buffer (hence `&self` on the reader); arena
-    /// spans borrow the tape.
-    #[inline]
-    pub fn tape_event<'a>(&'a self, tape: &'a EventTape, i: usize) -> ResolvedEvent<'a> {
-        let it = tape.item(i);
-        let payload: &str = if it.window {
-            debug_assert_eq!(tape.epoch, self.src.epoch, "tape drained after a feed compaction");
-            let run = &self.src.buf[it.off as usize..(it.off + it.len) as usize];
-            debug_assert!(run.is_ascii(), "window spans are scanner-verified ASCII");
-            // SAFETY: window spans are recorded only for scanner-verified
-            // ASCII bytes — clean `SrcText` runs and the name bytes of lean
-            // burst tags (first byte ASCII-checked, rest a `name_run`); the
-            // buffer is not compacted between record and drain
-            // (epoch-checked above).
-            unsafe { std::str::from_utf8_unchecked(run) }
-        } else {
-            tape.arena_str(it.off, it.len)
-        };
-        match it.kind {
-            TapeKind::Start => ResolvedEvent::Start(it.id, payload),
-            TapeKind::End => ResolvedEvent::End(it.id, payload),
-            TapeKind::Text => ResolvedEvent::Text(payload),
-        }
-    }
-
-    /// Structurally fast-forward over a subtree the consumer declared dead
-    /// (a pump reporting `SkipSubtree`): parse past events until the end
-    /// tag closing the subtree — `depth` unclosed levels deep at entry —
-    /// is next, *counting* them but never recording, materializing or
-    /// copying them. The common shape — entity-free text runs and
-    /// attribute-free ASCII tags — costs one structural-index probe and a
-    /// counter update per event; everything else (attributes, entities,
-    /// comments, CDATA, window-crossing constructs) takes exactly one step
-    /// of the identical general machinery per event.
-    ///
-    /// Transparency: byte accounting, name interning, stack discipline and
-    /// error surfacing mirror [`Reader::fill_tape`] pulling the same
-    /// events, and a window-exhausted return rolls back to the same event
-    /// boundary a per-event poll would report `NeedMoreData` from — so a
-    /// snapshot taken at any quiescent point is byte-identical to a run
-    /// that delivered every event.
-    ///
-    /// `tape` must be drained; it is written only when the general
-    /// machinery has already committed the closing end tag, which then
-    /// rides back as the tape's single event (see [`SkipPoll::Closed`]).
-    pub fn skip_events(&mut self, depth: u32, tape: &mut EventTape) -> Result<SkipPoll, XmlError> {
+    /// See [`InPlace::skip_events`].
+    fn skip_events(
+        &mut self,
+        win: &mut Window<'_>,
+        depth: u32,
+        tape: &mut EventTape,
+    ) -> Result<SkipPoll, XmlError> {
         debug_assert!(tape.is_empty(), "previous batch must be drained before a skip");
         debug_assert!(depth >= 1, "a skip is only active inside its subtree");
         debug_assert!(!self.finished, "a document cannot finish inside a subtree");
         tape.clear();
-        tape.epoch = self.src.epoch;
+        tape.epoch = win.src.epoch;
         // Commit borrows a preceding per-event pull may have left open.
-        if self.defer_consume > 0 {
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
-        }
-        if let Slot::StackPop = self.slot {
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
+        self.commit_deferred(win);
         let mut depth = depth;
         let mut events = 0u64;
         /// How a lean burst over the buffered window ended.
@@ -1816,7 +2076,7 @@ impl Reader<FeedSource> {
                             // closes the skip. Hand it back on the tape.
                             self.slot = Slot::Pending(self.pending_pos);
                             self.pending_pos += 1;
-                            self.record(tape);
+                            self.record(win, tape);
                             return Ok(SkipPoll::Closed { events });
                         }
                         ResolvedEvent::Text(_) => {}
@@ -1826,7 +2086,7 @@ impl Reader<FeedSource> {
                 }
                 continue;
             }
-            // ---- lean burst: walk the fed window without consuming ----
+            // ---- lean burst: walk the window without consuming ----
             //
             // The hot loop touches no reader state it might have to undo:
             // `lpos` cursors through a window snapshot, and position /
@@ -1837,11 +2097,12 @@ impl Reader<FeedSource> {
             // window-exhausted exit rolls back to exactly the state a
             // per-event poll would report `NeedMoreData` from. Stack pushes
             // and pops happen only *at* boundaries and need no undo.
-            let start = self.src.pos;
+            let start = win.src.pos;
             let off0 = self.offset;
-            let closed = self.src.closed;
+            let closed = win.src.closed;
             let keep_ws = self.opts.keep_whitespace;
-            let buf = &self.src.buf[start..];
+            let buf = &win.bytes()[start..];
+            let end = start + buf.len();
             let mut shift = ensure_index(self.scanner, &mut self.sidx, off0, buf) as isize;
             let mut lpos = 0usize;
             let mut in_tag = self.in_tag;
@@ -1957,169 +2218,132 @@ impl Reader<FeedSource> {
                     // (non-event progress ends inside a tag), so the walk
                     // position *is* the rollback point.
                     debug_assert_eq!(b_lpos, lpos, "text step is a boundary");
-                    self.src.pos = start + b_lpos;
-                    self.offset = off0 + b_lpos as u64;
-                    self.fast_bytes += b_lpos as u64;
-                    self.in_tag = b_in_tag;
+                    self.commit_walk(win, lpos, in_tag);
                     // The poll fast-exit's scan hint: no `<` between the
                     // committed position and the window end.
-                    self.src.lt_scanned = self.src.buf.len();
-                    return Ok(SkipPoll::More { events, depth });
+                    win.src.lt_scanned = end;
+                    if !win.advance(tape) {
+                        return Ok(SkipPoll::More { events, depth });
+                    }
                 }
                 BurstExit::Closed => {
                     // Commit through the consumed `<`; the complete closing
                     // end tag (`>` was found in-window) is delivered by the
                     // next ordinary batch — or, on a tag mismatch, surfaces
                     // its error there.
-                    self.src.pos = start + lpos;
-                    self.offset = off0 + lpos as u64;
-                    self.fast_bytes += lpos as u64;
-                    self.in_tag = true;
+                    self.commit_walk(win, lpos, true);
                     return Ok(SkipPoll::Closed { events });
                 }
                 BurstExit::Fallback => {
-                    // One full per-event step from the committed position.
-                    // Progress past the last boundary (a whitespace run and
-                    // its `<`) is committed as fast-path bytes and the
-                    // rollback point stays *behind* it — byte-for-byte what
-                    // per-event delivery does when `fast_text` skips the
-                    // run and the following construct then fails to fit the
-                    // window (counters are never rolled back).
-                    let cp = Checkpoint {
-                        src_pos: start + b_lpos,
-                        offset: off0 + b_lpos as u64,
-                        seen_root: self.seen_root,
-                        in_tag: b_in_tag,
-                        finished: false,
-                        stack_len: self.stack.len(),
-                        stack_buf_len: self.stack_buf.len(),
-                        pending_len: self.pending.len(),
-                        pending_pos: self.pending_pos,
-                    };
-                    self.src.pos = start + lpos;
-                    self.offset = off0 + lpos as u64;
-                    self.fast_bytes += lpos as u64;
-                    self.in_tag = in_tag;
-                    if let Some(poll) =
-                        self.skip_fallback_step(tape, &mut depth, &mut events, cp)?
-                    {
-                        return Ok(poll);
+                    // One full per-event step; the rollback point stays
+                    // at the last event boundary (see `fill_burst`).
+                    self.commit_walk(win, b_lpos, b_in_tag);
+                    let cp = self.checkpoint(win);
+                    self.commit_walk(win, lpos - b_lpos, in_tag);
+                    match self.skip_fallback_step(win, tape, &mut depth, &mut events, cp)? {
+                        Some(SkipPoll::More { .. }) if win.advance(tape) => {}
+                        Some(poll) => return Ok(poll),
+                        None => {}
                     }
                 }
             }
         }
     }
 
-    /// One general-machinery step inside [`Reader::skip_events`]: run
-    /// [`Reader::advance`] exactly as a tape fill would — `cp` is the last
-    /// event boundary, the rollback point a window-exhausted attempt
+    /// One general-machinery step inside [`ParseState::skip_events`]: run
+    /// [`ParseState::advance`] exactly as a tape fill would — `cp` is the
+    /// last event boundary, the rollback point a window-exhausted attempt
     /// restores — then interpret the completed slot as depth/count
     /// bookkeeping instead of recording it. An End event at depth 1 *is* the tag closing the
     /// skipped subtree — its stack pop may already be committed, so it is
     /// recorded onto `tape` for the caller to deliver rather than rolled
-    /// back. Returns `Some` when the skip is over (closed, or out of fed
-    /// bytes), `None` to continue scanning.
+    /// back. Returns `Some` when the skip is over (closed, or out of
+    /// window), `None` to continue scanning.
     fn skip_fallback_step(
         &mut self,
+        win: &mut Window<'_>,
         tape: &mut EventTape,
         depth: &mut u32,
         events: &mut u64,
         cp: Checkpoint,
     ) -> Result<Option<SkipPoll>, XmlError> {
-        self.src.hit_end = false;
-        match self.advance() {
-            Ok(true) => {
-                debug_assert!(
-                    !self.src.hit_end || self.src.closed,
-                    "an emitted event must not depend on bytes past the fed window"
-                );
-                let closing = match self.slot {
-                    Slot::Text => false,
-                    Slot::SrcText { .. } => {
-                        // Commit the window borrow on the spot, as a
-                        // recording fill would.
-                        self.src.consume(self.defer_consume);
-                        self.defer_consume = 0;
-                        false
-                    }
-                    Slot::StackTop => {
-                        *depth += 1;
-                        false
-                    }
-                    Slot::StartName => {
-                        // Self-closing start: its End is queued in pending
-                        // and brings the depth back down when counted.
-                        *depth += 1;
-                        false
-                    }
-                    Slot::EndName => {
-                        // General-path end tag: parse_tag already popped.
-                        if *depth == 1 {
-                            true
-                        } else {
-                            *depth -= 1;
-                            false
-                        }
-                    }
-                    Slot::StackPop => {
-                        if *depth == 1 {
-                            true
-                        } else {
-                            // Commit the deferred pop, as a recording fill
-                            // would.
-                            let (off, _) = self.stack.pop().expect("open element for end slot");
-                            self.stack_buf.truncate(off as usize);
-                            *depth -= 1;
-                            false
-                        }
-                    }
-                    Slot::Pending(i) => {
-                        match self.pending.get(i).expect("pending index in range") {
-                            ResolvedEvent::Start(..) => {
-                                *depth += 1;
-                                false
-                            }
-                            ResolvedEvent::End(..) => {
-                                if *depth == 1 {
-                                    true
-                                } else {
-                                    *depth -= 1;
-                                    false
-                                }
-                            }
-                            ResolvedEvent::Text(_) => false,
-                        }
-                    }
-                    Slot::None => unreachable!("slot set before interpret"),
-                };
-                if closing {
-                    // The event closing the subtree is already parsed (and
-                    // any stack pop committed): hand it back on the tape
-                    // for normal delivery instead of rolling back.
-                    self.record(tape);
-                    return Ok(Some(SkipPoll::Closed { events: *events }));
-                }
-                self.slot = Slot::None;
-                *events += 1;
-                Ok(None)
+        match self.try_advance(win, cp)? {
+            Step::Event => {}
+            Step::NeedMoreData => {
+                return Ok(Some(SkipPoll::More { events: *events, depth: *depth }))
             }
-            Ok(false) if self.src.hit_end && !self.src.closed => {
-                self.restore(cp);
-                Ok(Some(SkipPoll::More { events: *events, depth: *depth }))
-            }
-            Ok(false) => unreachable!("a document cannot end inside a skipped subtree"),
-            Err(_) if self.src.hit_end && !self.src.closed => {
-                self.restore(cp);
-                Ok(Some(SkipPoll::More { events: *events, depth: *depth }))
-            }
-            Err(e) => Err(e),
+            Step::End => unreachable!("a document cannot end inside a skipped subtree"),
         }
+        let closing = match self.slot {
+            Slot::Text => false,
+            Slot::SrcText { .. } => {
+                // Commit the window borrow on the spot, as a recording
+                // fill would.
+                win.consume(self.defer_consume);
+                self.defer_consume = 0;
+                false
+            }
+            // A self-closing start (`StartName`) has its End queued in
+            // pending, which brings the depth back down when counted.
+            Slot::StackTop | Slot::StartName => {
+                *depth += 1;
+                false
+            }
+            // General-path end tag: `parse_tag` already popped.
+            Slot::EndName => {
+                if *depth == 1 {
+                    true
+                } else {
+                    *depth -= 1;
+                    false
+                }
+            }
+            Slot::StackPop => {
+                if *depth == 1 {
+                    true
+                } else {
+                    // Commit the deferred pop, as a recording fill would.
+                    let (off, _) = self.stack.pop().expect("open element for end slot");
+                    self.stack_buf.truncate(off as usize);
+                    *depth -= 1;
+                    false
+                }
+            }
+            Slot::Pending(i) => match self.pending.get(i).expect("pending index in range") {
+                ResolvedEvent::Start(..) => {
+                    *depth += 1;
+                    false
+                }
+                ResolvedEvent::End(..) => {
+                    if *depth == 1 {
+                        true
+                    } else {
+                        *depth -= 1;
+                        false
+                    }
+                }
+                ResolvedEvent::Text(_) => false,
+            },
+            Slot::None => unreachable!("slot set before interpret"),
+        };
+        if closing {
+            // The event closing the subtree is already parsed (and any
+            // stack pop committed): hand it back on the tape for normal
+            // delivery instead of rolling back.
+            self.record(win, tape);
+            return Ok(Some(SkipPoll::Closed { events: *events }));
+        }
+        self.slot = Slot::None;
+        *events += 1;
+        Ok(None)
     }
 
-    fn checkpoint(&self) -> Checkpoint {
+    fn checkpoint(&self, win: &Window<'_>) -> Checkpoint {
         Checkpoint {
-            src_pos: self.src.pos,
+            src_pos: win.src.pos,
             offset: self.offset,
+            fast_bytes: self.fast_bytes,
+            general_bytes: self.general_bytes,
             seen_root: self.seen_root,
             in_tag: self.in_tag,
             finished: self.finished,
@@ -2130,13 +2354,15 @@ impl Reader<FeedSource> {
         }
     }
 
-    fn restore(&mut self, cp: Checkpoint) {
+    fn restore(&mut self, win: &mut Window<'_>, cp: Checkpoint) {
         debug_assert!(
             self.stack.len() >= cp.stack_len && self.pending.len() >= cp.pending_len,
             "rollback cannot restore popped state (see Checkpoint docs)"
         );
-        self.src.pos = cp.src_pos;
+        win.src.pos = cp.src_pos;
         self.offset = cp.offset;
+        self.fast_bytes = cp.fast_bytes;
+        self.general_bytes = cp.general_bytes;
         self.seen_root = cp.seen_root;
         self.in_tag = cp.in_tag;
         self.finished = cp.finished;
@@ -2146,76 +2372,6 @@ impl Reader<FeedSource> {
         self.pending_pos = cp.pending_pos;
         self.slot = Slot::None;
         self.defer_consume = 0;
-    }
-
-    /// Serialize the complete resumable parse state at a quiescent point
-    /// (the last poll returned [`Polled::NeedMoreData`] or [`Polled::End`]).
-    ///
-    /// What is written: the unconsumed byte window (the tail of an
-    /// incomplete construct), the stream offset of that window's start —
-    /// which is exactly where a restored reader re-anchors its
-    /// [`StructuralIndex`] — the open-element stack with resolved ids, the
-    /// parser phase flags, and the per-path telemetry counters. The
-    /// structural index itself, the scan hints and all scratch buffers are
-    /// *re-derivable caches* and are deliberately not part of the format.
-    pub fn state_save(&self, enc: &mut flux_state::Enc) -> Result<(), flux_state::StateError> {
-        if self.defer_consume > 0 || matches!(self.slot, Slot::StackPop) {
-            return Err(flux_state::StateError::NotQuiescent(
-                "reader holds a deferred event borrow",
-            ));
-        }
-        if self.pending_pos < self.pending.len() {
-            return Err(flux_state::StateError::NotQuiescent(
-                "reader has undelivered pending events",
-            ));
-        }
-        enc.put_bytes(&self.src.buf[self.src.pos..]);
-        enc.put_bool(self.src.closed);
-        enc.put_uint(self.offset);
-        enc.put_bool(self.seen_root);
-        enc.put_bool(self.in_tag);
-        enc.put_bool(self.finished);
-        enc.put_usize(self.stack.len());
-        for (i, &(off, id)) in self.stack.iter().enumerate() {
-            let end =
-                self.stack.get(i + 1).map_or(self.stack_buf.len(), |&(next, _)| next as usize);
-            enc.put_uint(u64::from(id.0));
-            enc.put_str(&self.stack_buf[off as usize..end]);
-        }
-        enc.put_uint(self.fast_bytes);
-        enc.put_uint(self.general_bytes);
-        Ok(())
-    }
-
-    /// Rebuild an incremental reader saved by [`Reader::state_save`].
-    /// `opts` and `symbols` come from the compiled plan the snapshot was
-    /// taken against (the caller has already verified the plan
-    /// fingerprint); the structural index re-anchors lazily at the restored
-    /// offset on the first poll.
-    pub fn state_restore(
-        opts: ReaderOptions,
-        symbols: Arc<Symbols>,
-        dec: &mut flux_state::Dec<'_>,
-    ) -> Result<Reader<FeedSource>, flux_state::StateError> {
-        let mut r = Reader::incremental_with_symbols(opts, symbols);
-        r.src.buf = dec.get_bytes()?.to_vec();
-        r.src.closed = dec.get_bool()?;
-        r.offset = dec.get_uint()?;
-        r.seen_root = dec.get_bool()?;
-        r.in_tag = dec.get_bool()?;
-        r.finished = dec.get_bool()?;
-        let depth = dec.get_count()?;
-        for _ in 0..depth {
-            let id = u32::try_from(dec.get_uint()?)
-                .map_err(|_| flux_state::StateError::Corrupt("NameId exceeds u32"))?;
-            let name = dec.get_str()?;
-            let off = r.stack_buf.len() as u32;
-            r.stack_buf.push_str(name);
-            r.stack.push((off, NameId(id)));
-        }
-        r.fast_bytes = dec.get_uint()?;
-        r.general_bytes = dec.get_uint()?;
-        Ok(r)
     }
 }
 
@@ -2712,6 +2868,73 @@ mod tests {
         let reference = Reader::from_str(doc).read_to_end().unwrap();
         let bytes: Vec<&[u8]> = doc.as_bytes().chunks(1).collect();
         assert_eq!(poll_all(doc, &bytes).unwrap(), reference);
+    }
+
+    /// Feed `chunk` through one door and drain it, returning the events seen.
+    fn feed_and_drain(r: &mut Reader<FeedSource>, chunk: &[u8], in_place: bool) -> usize {
+        let mut tape = EventTape::new();
+        let mut events = 0;
+        let mut feed = if in_place {
+            r.feed_in_place(chunk)
+        } else {
+            r.feed(chunk);
+            r.window()
+        };
+        loop {
+            let fill = feed.fill_tape(&mut tape).unwrap();
+            events += tape.len();
+            tape.clear();
+            if fill != TapeFill::Full {
+                return events;
+            }
+        }
+    }
+
+    #[test]
+    fn whole_document_in_place_never_allocates_the_carry() {
+        // What distinguishes parsing in place from chopping the slice into
+        // small copying feeds: nothing straddles, so nothing is ever copied.
+        let doc = format!("<r>{}</r>", "<e a=\"1\">t &amp; u<f/></e>\n".repeat(4000));
+        let mut r = Reader::incremental(ReaderOptions::default());
+        assert!(feed_and_drain(&mut r, doc.as_bytes(), true) > 4 * 4000);
+        assert_eq!(r.src.buf.capacity(), 0, "the carry was allocated");
+        assert_eq!(r.unconsumed_bytes(), 0);
+        assert_eq!(r.offset(), doc.len() as u64);
+    }
+
+    #[test]
+    fn the_carry_gives_memory_back() {
+        let mut big = String::from("<r>");
+        while big.len() < 1 << 20 {
+            big.push_str("<e>text</e>");
+        }
+        big.push_str("<unfinished");
+        for in_place in [false, true] {
+            // One 1 MiB chunk ending mid-tag …
+            let mut r = Reader::incremental(ReaderOptions::default());
+            feed_and_drain(&mut r, big.as_bytes(), in_place);
+            assert_eq!(r.unconsumed_bytes(), "<unfinished".len());
+            // (the owning door held all of it; in place only the tail was kept)
+            assert_eq!(r.src.buf.capacity() >= 1 << 20, !in_place);
+            // … then 1 000 small ones, each ending mid-tag again.
+            for _ in 0..1000 {
+                assert_eq!(feed_and_drain(&mut r, b">t</unfinished><unfinished", in_place), 3);
+            }
+            assert!(r.src.buf.capacity() < 4096, "pinned {}", r.src.buf.capacity());
+            // A construct that straddles many feeds grows the carry to its
+            // own size, and no further; it shrinks again once the construct
+            // is parsed.
+            feed_and_drain(&mut r, b">", in_place);
+            for _ in 0..256 {
+                feed_and_drain(&mut r, &[b'x'; 1024], in_place);
+            }
+            assert_eq!(r.unconsumed_bytes(), 256 << 10);
+            assert!(r.src.buf.capacity() < 4 * (256 << 10), "pinned {}", r.src.buf.capacity());
+            for _ in 0..3 {
+                feed_and_drain(&mut r, b"</unfinished><unfinished>y", in_place);
+            }
+            assert!(r.src.buf.capacity() < 4096, "pinned {}", r.src.buf.capacity());
+        }
     }
 
     #[test]

@@ -42,9 +42,10 @@
 //! Stage 1 is a **pure memo over the bytes of the stream**: block *k* of
 //! an index anchored at stream offset `o` describes stream bytes
 //! `[o + 32k, o + 32k + 32)`, which are immutable once read from the
-//! source (a `FeedSource` only ever appends). The memo never consumes,
-//! never looks past `fill_buf`, and holds no state the parser would have
-//! to roll back. The incremental reader's checkpoint/rollback protocol
+//! source (a `FeedSource` only ever appends, and an in-place feed shows
+//! the same stream bytes through a different window). The memo never
+//! consumes, never looks past `fill_buf`, and holds no state the parser
+//! would have to roll back. The incremental reader's checkpoint/rollback protocol
 //! (`Reader::poll_resolved`) therefore holds by construction — a parse
 //! attempt that runs off the end of the fed bytes rolls back reader state
 //! only, and the still-valid memo is simply extended once more bytes

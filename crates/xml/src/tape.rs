@@ -19,7 +19,9 @@
 //!
 //! 1. **Anchor** — a fill begins at a quiescent reader (no deferred window
 //!    borrow, no half-delivered pending events) and stamps the tape with
-//!    the source window epoch.
+//!    the generation of the window it reads: the caller's chunk during an
+//!    in-place feed ([`Reader::feed_in_place`](crate::reader::Reader::feed_in_place)),
+//!    the reader's own buffer otherwise.
 //! 2. **Batch** — lean constructs (plain tags, clean text) are recorded
 //!    by an in-window *burst*: a local cursor walks the structural index
 //!    without consuming, and the reader's position, offset and counters
@@ -27,15 +29,19 @@
 //!    boundary, so anything non-lean falls back to the per-event
 //!    checkpoint/rollback machinery with nothing to undo. Scanner-verified
 //!    ASCII payloads — clean text runs and lean tag names — are recorded
-//!    as *window spans* (origin + length into the reader's unconsumed
-//!    buffer) and never copied; only the general path copies name bytes
-//!    into the tape's arena.
+//!    as *window spans* (origin + length into that window) and never
+//!    copied; only the general path copies name bytes into the tape's
+//!    arena. The one window change a batch can see — an in-place feed
+//!    crossing from the stitched carry to the chunk itself — turns the few
+//!    spans recorded so far into arena copies, so a batch never points
+//!    into two windows.
 //! 3. **Drain** — the consumer materializes each item back into a
 //!    [`ResolvedEvent`](crate::events::ResolvedEvent) via
-//!    [`Reader::tape_event`](crate::reader::Reader::tape_event). Window
-//!    spans stay valid because the reader only compacts its buffer on the
-//!    next `feed`, which by contract happens after the drain (enforced by
-//!    the epoch stamp in debug builds).
+//!    [`InPlace::tape_event`](crate::reader::InPlace::tape_event). Window
+//!    spans stay valid because the window only moves when the feed ends
+//!    (or, for the owning [`Reader::feed`](crate::reader::Reader::feed), on
+//!    the next one), which by contract happens after the drain (enforced
+//!    by the generation stamp in debug builds).
 //! 4. **Rollback** — a construct that runs out of fed bytes mid-parse is
 //!    rolled back exactly as in pull mode; only the trailing partial event
 //!    is discarded, everything already on the tape stands.
@@ -141,7 +147,7 @@ pub struct TapeItem {
     pub(crate) id: NameId,
     pub(crate) off: u32,
     pub(crate) len: u32,
-    /// Payload lives in the reader's unconsumed window, not the arena.
+    /// Payload lives in the reader's window, not the arena.
     pub(crate) window: bool,
 }
 
@@ -189,9 +195,9 @@ pub struct EventTape {
     /// Copied payload bytes (names, escaped/assembled text). Window-span
     /// items do not touch this arena.
     pub(crate) arena: String,
-    /// Source-window epoch this batch was recorded against; used to
-    /// assert (in debug builds) that window spans are materialized before
-    /// the next compaction invalidates them.
+    /// Generation of the window this batch's spans point into; used to
+    /// assert (in debug builds) that they are materialized before the
+    /// window moves.
     pub(crate) epoch: u64,
 }
 
@@ -272,12 +278,24 @@ impl EventTape {
     }
 
     /// Record an event whose payload stays in the reader's window: `len`
-    /// bytes at absolute buffer offset `off` — a scanner-verified ASCII
-    /// text run, or the in-window name bytes of a lean tag.
+    /// bytes at window offset `off` — a scanner-verified ASCII text run,
+    /// or the in-window name bytes of a lean tag.
     #[inline]
     pub(crate) fn push_window(&mut self, kind: TapeKind, id: NameId, off: usize, len: usize) {
         assert!(off + len <= u32::MAX as usize, "source window exceeds 4 GiB");
         self.items.push(TapeItem { kind, id, off: off as u32, len: len as u32, window: true });
+    }
+
+    /// Turn every window span into an arena copy of its bytes in `window`:
+    /// the reader is about to leave that window mid-batch (an in-place
+    /// feed crossing from its stitch buffer to the chunk itself).
+    pub(crate) fn own_spans(&mut self, window: &[u8]) {
+        for it in self.items.iter_mut().filter(|it| it.window) {
+            let run = &window[it.off as usize..(it.off + it.len) as usize];
+            it.off = self.arena.len() as u32;
+            it.window = false;
+            self.arena.push_str(std::str::from_utf8(run).expect("window spans are UTF-8"));
+        }
     }
 
     /// Scan forward from `from` for the close event that brings an active

@@ -195,3 +195,170 @@ fn errors_surface_after_the_taped_prefix_at_every_split() {
         assert_tape_matches_pull(doc);
     }
 }
+
+// ---- the in-place feed: a window switch is as invisible as a batch seam ----
+
+/// What a chunked run produced: the events, the first error, and the
+/// reader's serialized state after every feed (`None` once it has failed).
+#[derive(Debug, PartialEq)]
+struct Chunked {
+    events: Vec<OwnedEvent>,
+    err: Option<XmlError>,
+    states: Vec<Vec<u8>>,
+}
+
+fn state_of(r: &Reader<flux_xml::FeedSource>) -> Vec<u8> {
+    let mut enc = flux_state::Enc::new();
+    r.state_save(&mut enc).expect("quiescent between feeds");
+    enc.into_bytes()
+}
+
+/// The two doors to the same batched parse.
+trait Door {
+    fn fill(&mut self, tape: &mut EventTape) -> Result<TapeFill, XmlError>;
+    fn event<'a>(&'a self, tape: &'a EventTape, i: usize) -> flux_xml::ResolvedEvent<'a>;
+}
+
+impl Door for Reader<flux_xml::FeedSource> {
+    fn fill(&mut self, tape: &mut EventTape) -> Result<TapeFill, XmlError> {
+        self.fill_tape(tape)
+    }
+    fn event<'a>(&'a self, tape: &'a EventTape, i: usize) -> flux_xml::ResolvedEvent<'a> {
+        self.tape_event(tape, i)
+    }
+}
+
+impl Door for flux_xml::InPlace<'_> {
+    fn fill(&mut self, tape: &mut EventTape) -> Result<TapeFill, XmlError> {
+        self.fill_tape(tape)
+    }
+    fn event<'a>(&'a self, tape: &'a EventTape, i: usize) -> flux_xml::ResolvedEvent<'a> {
+        self.tape_event(tape, i)
+    }
+}
+
+/// Fill and drain until the fed bytes are used up.
+fn drain(door: &mut impl Door, tape: &mut EventTape, out: &mut Chunked) {
+    loop {
+        let fill = door.fill(tape);
+        for i in 0..tape.len() {
+            out.events.push(door.event(tape, i).to_event().to_owned());
+        }
+        tape.clear();
+        match fill {
+            Ok(TapeFill::Full) => {}
+            Ok(TapeFill::NeedMoreData | TapeFill::End) => return,
+            Err(e) => return out.err = Some(e),
+        }
+    }
+}
+
+/// `doc` cut at `cuts`, each chunk fed through the owning door
+/// ([`Reader::feed`] + [`Reader::fill_tape`]) or parsed where it lies
+/// ([`Reader::feed_in_place`]); a final empty feed runs the closed reader
+/// to the end.
+fn run_chunked(choice: ScannerChoice, doc: &[u8], cuts: &[usize], in_place: bool) -> Chunked {
+    let mut r = Reader::incremental(opts(choice));
+    let mut tape = EventTape::new();
+    let mut out = Chunked { events: Vec::new(), err: None, states: Vec::new() };
+    let bounds: Vec<usize> =
+        std::iter::once(0).chain(cuts.iter().copied()).chain([doc.len(), doc.len()]).collect();
+    for (k, pair) in bounds.windows(2).enumerate() {
+        if k + 2 == bounds.len() {
+            r.close();
+        }
+        let chunk = &doc[pair[0]..pair[1]];
+        if in_place {
+            drain(&mut r.feed_in_place(chunk), &mut tape, &mut out);
+        } else {
+            r.feed(chunk);
+            drain(&mut r, &mut tape, &mut out);
+        }
+        if out.err.is_some() {
+            break;
+        }
+        out.states.push(state_of(&r));
+    }
+    out
+}
+
+/// Constructs long enough to straddle two and three chunks and to outgrow
+/// the first stitch prefix several times over.
+fn straddlers() -> Vec<String> {
+    let long = "v".repeat(700);
+    vec![
+        // A long attribute value, clean and with an entity; one with `>`
+        // inside (an error both doors must report at the same offset).
+        format!("<r><e a=\"{long}\" b='x'>t</e><f/></r>"),
+        format!("<r><e a=\"{long}&amp;{long}\"/>tail</r>"),
+        format!("<r><e a=\"{long}>{long}\">t</e></r>"),
+        // Comment, CDATA and DOCTYPE bodies containing `>`.
+        format!("<r>a<!-- {long} > {long} -->b</r>"),
+        format!("<r><![CDATA[{long} ]> <x> {long}]]>z</r>"),
+        format!("<!DOCTYPE r [<!ELEMENT r (#PCDATA)> <!-- {long} -->]><r>x</r>"),
+        // A text run with no `<` for several chunks: clean, with an entity
+        // reference, and with multi-byte characters.
+        format!("<r><a>{long}{long}{long}</a><b>x</b></r>"),
+        format!("<r><a>{long}&lt;{long}&amp;</a></r>"),
+        format!("<r><a>{long}é{long}€{long}</a><é>ü</é></r>"),
+        // Many short constructs, so chunks end exactly on `>` too.
+        format!("<r>{}</r>", "<e><f>t</f><g/></e>".repeat(40)),
+        // Errors past the seam.
+        format!("<r><a>{long}</b></r>"),
+        format!("<r>{long}&bogus;{long}</r>"),
+    ]
+}
+
+#[test]
+fn in_place_feed_matches_the_owning_door_at_every_two_and_three_chunk_split() {
+    for doc in straddlers() {
+        let doc = doc.as_bytes();
+        for choice in backends() {
+            // The unsplit in-place run is the reference for events and error.
+            let whole = run_chunked(choice, doc, &[], true);
+            assert_eq!(whole, run_chunked(choice, doc, &[], false), "{choice:?} unsplit");
+            for at in 0..=doc.len() {
+                // One cut, then a second 1 / 70 / 300 bytes later: the
+                // construct under the first cut straddles two or three
+                // chunks, with a middle chunk shorter and longer than the
+                // first stitch prefix.
+                for second in [None, Some(1), Some(70), Some(300)] {
+                    let cuts: Vec<usize> = std::iter::once(at)
+                        .chain(second.map(|d| at + d).filter(|&c| c <= doc.len()))
+                        .collect();
+                    if second.is_some() && cuts.len() == 1 {
+                        continue;
+                    }
+                    let got = run_chunked(choice, doc, &cuts, true);
+                    let own = run_chunked(choice, doc, &cuts, false);
+                    assert_eq!(got, own, "{choice:?} cuts {cuts:?}: doors diverge");
+                    assert_eq!(got.events, whole.events, "{choice:?} cuts {cuts:?}: events");
+                    assert_eq!(got.err, whole.err, "{choice:?} cuts {cuts:?}: error");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_ten_kilobyte_attribute_crosses_many_small_in_place_feeds() {
+    let value = "a>b ".repeat(2560); // 10 KiB, `>` throughout
+    let bad = format!("<r><e k=\"{value}\"/></r>");
+    let good = format!("<r><e k=\"{}\">t</e></r>", "ab c".repeat(2560));
+    for doc in [bad, good] {
+        let doc = doc.as_bytes();
+        for choice in backends() {
+            let whole = run_chunked(choice, doc, &[], true);
+            for size in [1usize, 7, 64, 1000, 4096] {
+                let cuts: Vec<usize> = (size..doc.len()).step_by(size).collect();
+                let got = run_chunked(choice, doc, &cuts, true);
+                assert_eq!(got, run_chunked(choice, doc, &cuts, false), "{choice:?} {size}");
+                assert_eq!(
+                    (&got.events, &got.err),
+                    (&whole.events, &whole.err),
+                    "{choice:?} {size}"
+                );
+            }
+        }
+    }
+}

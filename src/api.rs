@@ -212,20 +212,10 @@ impl PreparedQuery {
         self.run_bytes(doc.as_bytes())
     }
 
-    /// Execute over a complete byte slice, capturing the output.
-    ///
-    /// Under [`DeliveryMode::Tape`] (the default) the run is driven
-    /// through a [`Session`] so events travel the batched tape; under
-    /// [`DeliveryMode::PerEvent`] (or `FLUX_FORCE_PULL`) it takes the
-    /// classic per-event pull path. Output and statistics are identical.
+    /// Execute over a complete byte slice, capturing the output. The slice
+    /// is scanned where it lies (see [`PreparedQuery::run_to`]).
     pub fn run_bytes(&self, doc: &[u8]) -> Result<RunOutcome, FluxError> {
-        if self.compiled.options().reader.delivery.resolved() == DeliveryMode::PerEvent {
-            let (res, sink) = self.compiled.run_sink(doc, StringSink::new());
-            return Ok(RunOutcome { output: sink.into_string(), stats: res? });
-        }
-        let mut session = self.session_string();
-        session.feed(doc)?;
-        let (res, sink) = session.finish_parts();
+        let (res, sink) = self.run_parts(doc, StringSink::new());
         let stats = res?;
         Ok(RunOutcome {
             output: sink.expect("sink present when the run succeeded").into_string(),
@@ -235,34 +225,49 @@ impl PreparedQuery {
 
     /// Execute over any buffered reader, streaming the output to a
     /// [`Sink`]. Nothing is collected unless the plan's buffer trees
-    /// demand it; like [`PreparedQuery::run_bytes`] the run is routed
-    /// through the event tape unless delivery resolves to
-    /// [`DeliveryMode::PerEvent`].
-    pub fn run_to<R: BufRead, S: Sink>(
+    /// demand it, and no input is copied beyond the tail of the one
+    /// construct a buffer refill cuts in two: each window `fill_buf` hands
+    /// out — for a `&[u8]` the whole slice — is parsed in place by a
+    /// [`Session`], so events travel the batched tape. Under
+    /// [`DeliveryMode::PerEvent`] (or `FLUX_FORCE_PULL`) the run takes the
+    /// classic per-event pull path instead; output and statistics are
+    /// identical.
+    pub fn run_to<R: BufRead, S: Sink>(&self, input: R, sink: S) -> Result<RunStats, FluxError> {
+        self.run_parts(input, sink).0
+    }
+
+    /// One-shot run behind [`PreparedQuery::run_bytes`] and
+    /// [`PreparedQuery::run_to`]; hands the sink back like
+    /// [`Session::finish_parts`].
+    fn run_parts<R: BufRead, S: Sink>(
         &self,
         mut input: R,
         sink: S,
-    ) -> Result<RunStats, FluxError> {
+    ) -> (Result<RunStats, FluxError>, Option<S>) {
         if self.compiled.options().reader.delivery.resolved() == DeliveryMode::PerEvent {
-            return Ok(self.compiled.run(input, sink)?);
+            let (res, sink) = self.compiled.run_sink(input, sink);
+            return (res.map_err(Into::into), Some(sink));
         }
         let mut session = self.session(sink);
         loop {
-            let n = {
-                let buf = input.fill_buf().map_err(|e| {
-                    FluxError::Engine(flux_engine::EngineError::Eval(
-                        flux_query::eval::EvalError::Io(e.to_string()),
-                    ))
-                })?;
-                if buf.is_empty() {
-                    break;
+            let buf = match input.fill_buf() {
+                Ok(buf) => buf,
+                // What std's own `BufRead` loops do: a signal is no failure.
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    let e = flux_query::eval::EvalError::Io(e.to_string());
+                    let e = FluxError::Engine(flux_engine::EngineError::Eval(e));
+                    return (Err(e), Some(session.into_sink()));
                 }
-                session.feed(buf)?;
-                buf.len()
             };
+            // An empty window is end of input. A refused feed means an
+            // earlier one failed; finishing reports the cause.
+            if buf.is_empty() || session.feed(buf).is_err() {
+                return session.finish_parts();
+            }
+            let n = buf.len();
             input.consume(n);
         }
-        session.finish().map(|f| f.stats)
     }
 
     /// Start an incremental push session: bytes arrive chunk-by-chunk via
@@ -482,6 +487,54 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), first.output);
         }
+    }
+
+    #[test]
+    fn run_to_retries_interrupted_reads() {
+        /// A source on which every other `fill_buf` is cut short by a signal.
+        struct Interrupting<'a> {
+            data: &'a [u8],
+            calls: usize,
+        }
+        impl std::io::Read for Interrupting<'_> {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                unreachable!("run_to reads through fill_buf")
+            }
+        }
+        impl BufRead for Interrupting<'_> {
+            fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+                self.calls += 1;
+                if self.calls % 2 == 1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                Ok(&self.data[..self.data.len().min(7)])
+            }
+            fn consume(&mut self, n: usize) {
+                self.data = &self.data[n..];
+            }
+        }
+        let engine = Engine::builder().dtd_str(DTD).build().unwrap();
+        let q = engine.prepare(QUERY).unwrap();
+        if q.compiled().options().reader.delivery.resolved() == DeliveryMode::PerEvent {
+            return; // `FLUX_FORCE_PULL`: the blocking reader owns the loop
+        }
+        let reference = q.run_str(DOC).unwrap();
+        let mut out = StringSink::new();
+        let stats = q.run_to(Interrupting { data: DOC.as_bytes(), calls: 0 }, &mut out).unwrap();
+        assert_eq!(out.as_str(), reference.output);
+        assert_eq!(stats, reference.stats);
+    }
+
+    #[test]
+    fn run_to_reports_the_cause_of_a_failure_in_an_earlier_window() {
+        // The failing window is followed by more input: the run must report
+        // the validation error, not that a later feed was refused.
+        let engine = Engine::builder().dtd_str(DTD).build().unwrap();
+        let q = engine.prepare(QUERY).unwrap();
+        let doc = "<bib><zzz>x</zzz><book><title>T</title></book></bib>";
+        let input = std::io::BufReader::with_capacity(7, doc.as_bytes());
+        let err = q.run_to(input, StringSink::new()).unwrap_err();
+        assert!(err.to_string().contains("zzz"), "{err}");
     }
 
     #[test]

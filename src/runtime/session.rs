@@ -8,10 +8,11 @@
 //! by an incremental parser, so [`Session::feed`] runs the plan inline on
 //! the caller's thread until the fed bytes are exhausted, then returns.
 //! There is no worker thread, no channel, no condition variable, and no
-//! extra copy of the payload: the parser's zero-copy fast paths read
-//! straight out of the fed window, and output streams to the session's
-//! [`Sink`] as soon as the schedule allows — a fully-streaming plan emits
-//! results while the document is still arriving.
+//! copy of the payload: each chunk is parsed where the caller holds it (the
+//! session carries over only the tail of the construct a chunk's end cuts
+//! in two), and output streams to the session's [`Sink`] as soon as the
+//! schedule allows — a fully-streaming plan emits results while the
+//! document is still arriving.
 //!
 //! Chunk boundaries are invisible to the engine — the incremental reader
 //! rolls back any construct that runs off the end of the fed bytes and
@@ -37,8 +38,8 @@ use std::sync::Arc;
 
 use flux_engine::{BudgetHook, CompiledQuery, EngineError, Pump, RunStats, StreamInterest};
 use flux_xml::{
-    DeliveryMode, EventTape, FeedSource, Polled, Reader, Sink, SkipPoll, SkipScan, TapeFill,
-    TapeTelemetry,
+    DeliveryMode, EventTape, FeedSource, InPlace, Polled, Reader, Sink, SkipPoll, SkipScan,
+    TapeFill, TapeTelemetry,
 };
 
 use crate::error::FluxError;
@@ -70,8 +71,10 @@ pub struct Session<S: Sink> {
     /// Shared admission hook: consulted between events to pause execution
     /// while aggregate headroom is scarce. `None` = never pause.
     budget: Option<Arc<dyn BudgetHook>>,
-    /// Execution stopped on [`FeedOutcome::Backpressure`]; fed bytes wait
-    /// in the reader until [`Session::resume`] (or finish) drains them.
+    /// The last [`Session::feed_outcome`] was refused with
+    /// [`FeedOutcome::Backpressure`] and no [`Session::resume`] has
+    /// succeeded since. The refused chunk was never absorbed — nothing
+    /// waits in the reader; the caller re-feeds it.
     paused: bool,
     /// Resolved event delivery strategy (builder choice ∘ `FLUX_FORCE_PULL`).
     delivery: DeliveryMode,
@@ -117,8 +120,10 @@ impl<S: Sink> Session<S> {
     ///
     /// The engine runs inline: every event completed by this chunk is
     /// processed (and its output written) before `feed` returns, so a
-    /// caller is naturally back-pressured by its own sink and the session
-    /// never queues raw input beyond the tail of one unparsed construct.
+    /// caller is naturally back-pressured by its own sink. The chunk is
+    /// parsed where it lies — the session never holds raw input beyond the
+    /// tail of one unparsed construct, in bytes retained *and* in heap (a
+    /// [`DeliveryMode::PerEvent`] session still copies each chunk first).
     ///
     /// Returns [`FluxError::SessionAborted`] when the run has already
     /// failed on earlier input; call [`finish`](Session::finish) (or
@@ -136,8 +141,7 @@ impl<S: Sink> Session<S> {
         }
         // A bypass feed executes: the session is no longer waiting.
         self.paused = false;
-        self.reader.feed(chunk);
-        self.drain();
+        self.run(chunk);
         Ok(())
     }
 
@@ -162,8 +166,7 @@ impl<S: Sink> Session<S> {
             return Ok(FeedOutcome::Backpressure);
         }
         self.paused = false;
-        self.reader.feed(chunk);
-        self.drain();
+        self.run(chunk);
         Ok(FeedOutcome::Accepted)
     }
 
@@ -200,36 +203,52 @@ impl<S: Sink> Session<S> {
         }
     }
 
-    /// Run the machine over the fed bytes; errors are stored for
-    /// [`Session::finish_parts`], like the one-shot run would surface them.
-    fn drain(&mut self) {
-        if let Err(e) = self.drain_events() {
-            // Surface the cause at finish, like the one-shot run would.
+    /// Parse `chunk` and pump every event it completes through the
+    /// machine; errors are stored for [`Session::finish_parts`], like the
+    /// one-shot run would surface them.
+    fn run(&mut self, chunk: &[u8]) {
+        let res = match self.delivery {
+            DeliveryMode::Tape => {
+                let mut feed = self.reader.feed_in_place(chunk);
+                Self::drain_events_tape(
+                    &mut feed,
+                    &mut self.pump,
+                    &mut self.tape,
+                    &mut self.tape_stats,
+                )
+            }
+            DeliveryMode::PerEvent => {
+                self.reader.feed(chunk);
+                loop {
+                    match self.reader.poll_resolved() {
+                        Ok(Polled::Event(ev)) => {
+                            if let Err(e) = self.pump.feed_event(ev) {
+                                break Err(e.into());
+                            }
+                        }
+                        Ok(Polled::NeedMoreData | Polled::End) => break Ok(()),
+                        // Parse errors surface exactly as the engine reports
+                        // them on the one-shot path.
+                        Err(e) => break Err(FluxError::Engine(EngineError::Xml(e))),
+                    }
+                }
+            }
+        };
+        if let Err(e) = res {
             self.error = Some(e);
         }
     }
 
-    /// Pump every event the fed bytes complete through the machine.
-    fn drain_events(&mut self) -> Result<(), FluxError> {
-        match self.delivery {
-            DeliveryMode::Tape => self.drain_events_tape(),
-            DeliveryMode::PerEvent => loop {
-                match self.reader.poll_resolved() {
-                    Ok(Polled::Event(ev)) => self.pump.feed_event(ev)?,
-                    Ok(Polled::NeedMoreData | Polled::End) => return Ok(()),
-                    // Parse errors surface exactly as the engine reports
-                    // them on the one-shot path.
-                    Err(e) => return Err(FluxError::Engine(EngineError::Xml(e))),
-                }
-            },
-        }
-    }
-
     /// Batched drain: fill the tape, walk it with a tight index loop, and
-    /// repeat until the fed bytes are exhausted. Semantically identical to
-    /// the per-event loop — a parse error is surfaced only after the
+    /// repeat until the chunk being fed is exhausted. Semantically identical
+    /// to the per-event loop — a parse error is surfaced only after the
     /// events parsed before it are delivered, exactly as pulling would.
-    fn drain_events_tape(&mut self) -> Result<(), FluxError> {
+    fn drain_events_tape(
+        feed: &mut InPlace<'_>,
+        pump: &mut Pump<S>,
+        tape: &mut EventTape,
+        stats: &mut TapeTelemetry,
+    ) -> Result<(), FluxError> {
         loop {
             // Reader-side fast-forward: when the pump wants a whole subtree
             // skipped, the reader scans past it structurally — no
@@ -237,36 +256,36 @@ impl<S: Sink> Session<S> {
             // closing end tag is delivered normally: by the next batch, or
             // — when the general machinery had already committed it — as
             // the single event `skip_events` hands back on the tape.
-            if let StreamInterest::SkipSubtree { depth } = self.pump.stream_interest() {
-                match self.reader.skip_events(depth, &mut self.tape) {
+            if let StreamInterest::SkipSubtree { depth } = pump.stream_interest() {
+                match feed.skip_events(depth, tape) {
                     Ok(SkipPoll::Closed { events }) => {
                         if events > 0 {
-                            self.pump.fast_forward_skip(events);
-                            self.tape_stats.events += events;
-                            self.tape_stats.fast_forwarded += events;
+                            pump.fast_forward_skip(events);
+                            stats.events += events;
+                            stats.fast_forwarded += events;
                         }
-                        if !self.tape.is_empty() {
-                            self.tape_stats.batches += 1;
-                            self.tape_stats.events += self.tape.len() as u64;
-                            self.drain_tape()?;
+                        if !tape.is_empty() {
+                            stats.batches += 1;
+                            stats.events += tape.len() as u64;
+                            Self::drain_tape(feed, pump, tape, stats)?;
                         }
                     }
                     Ok(SkipPoll::More { events, depth }) => {
                         if events > 0 {
-                            self.pump.fast_forward_skip_to(depth, events);
-                            self.tape_stats.events += events;
-                            self.tape_stats.fast_forwarded += events;
+                            pump.fast_forward_skip_to(depth, events);
+                            stats.events += events;
+                            stats.fast_forwarded += events;
                         }
                         return Ok(());
                     }
                     Err(e) => return Err(FluxError::Engine(EngineError::Xml(e))),
                 }
             }
-            let fill = self.reader.fill_tape(&mut self.tape);
-            if !self.tape.is_empty() {
-                self.tape_stats.batches += 1;
-                self.tape_stats.events += self.tape.len() as u64;
-                self.drain_tape()?;
+            let fill = feed.fill_tape(tape);
+            if !tape.is_empty() {
+                stats.batches += 1;
+                stats.events += tape.len() as u64;
+                Self::drain_tape(feed, pump, tape, stats)?;
             }
             match fill {
                 Ok(TapeFill::Full) => {}
@@ -280,19 +299,24 @@ impl<S: Sink> Session<S> {
     /// [`StreamInterest::SkipSubtree`] fast-forwards *within the tape*:
     /// the recorded close events are scanned directly and the pump is
     /// reconciled in one call instead of fed event by event.
-    fn drain_tape(&mut self) -> Result<(), FluxError> {
-        let n = self.tape.len();
+    fn drain_tape(
+        feed: &InPlace<'_>,
+        pump: &mut Pump<S>,
+        tape: &mut EventTape,
+        stats: &mut TapeTelemetry,
+    ) -> Result<(), FluxError> {
+        let n = tape.len();
         let mut i = 0;
         let res = loop {
             if i >= n {
                 break Ok(());
             }
-            if let StreamInterest::SkipSubtree { depth } = self.pump.stream_interest() {
-                match self.tape.skip_scan(i, depth) {
+            if let StreamInterest::SkipSubtree { depth } = pump.stream_interest() {
+                match tape.skip_scan(i, depth) {
                     SkipScan::Close { at, skipped } => {
                         if skipped > 0 {
-                            self.pump.fast_forward_skip(skipped);
-                            self.tape_stats.fast_forwarded += skipped;
+                            pump.fast_forward_skip(skipped);
+                            stats.fast_forwarded += skipped;
                         }
                         // The closing tag itself is fed normally: it pops
                         // the skip state and fires pending handlers.
@@ -302,22 +326,22 @@ impl<S: Sink> Session<S> {
                         // Batch ends inside the subtree; the skip resumes
                         // `depth` deep on the next batch.
                         if skipped > 0 {
-                            self.pump.fast_forward_skip_to(depth, skipped);
-                            self.tape_stats.fast_forwarded += skipped;
+                            pump.fast_forward_skip_to(depth, skipped);
+                            stats.fast_forwarded += skipped;
                         }
                         break Ok(());
                     }
                 }
             }
-            if let Err(e) = self.pump.feed_event(self.reader.tape_event(&self.tape, i)) {
+            if let Err(e) = pump.feed_event(feed.tape_event(tape, i)) {
                 break Err(FluxError::from(e));
             }
             i += 1;
         };
         // The tape is cleared even when the pump failed mid-batch: its
         // remaining events are never delivered (the session is poisoned),
-        // and stale window spans must not outlive the next feed.
-        self.tape.clear();
+        // and stale window spans must not outlive the feed.
+        tape.clear();
         res
     }
 
@@ -341,19 +365,16 @@ impl<S: Sink> Session<S> {
     /// the shared pool genuinely cannot grant fails the run with
     /// [`flux_engine::EngineError::BudgetDenied`].
     pub fn finish_parts(mut self) -> (Result<RunStats, FluxError>, Option<S>) {
-        let res = match self.error.take() {
-            Some(e) => Err(e),
-            None => {
-                self.reader.close();
-                self.drain_events()
-            }
-        };
-        match res {
+        if self.error.is_none() {
+            self.reader.close();
+            self.run(&[]);
+        }
+        match self.error.take() {
             // A failed run is abandoned, not finished: the recovered sink
             // holds exactly what a one-shot run wrote before the same
             // failure — no end-of-input epilogue is appended.
-            Err(e) => (Err(e), Some(self.pump.abort())),
-            Ok(()) => {
+            Some(e) => (Err(e), Some(self.pump.abort())),
+            None => {
                 let scan = self.reader.scan_telemetry();
                 let (quick_hits, quick_misses) = self.reader.quick_counters();
                 let tape = self.tape_stats;
@@ -378,8 +399,8 @@ impl<S: Sink> Session<S> {
     }
 
     /// Serialize the complete resumable state of this session into a
-    /// versioned `flux-state` envelope: the incremental reader's unconsumed
-    /// window and open-element stack, the pump's scope stack, captures,
+    /// versioned `flux-state` envelope: the incremental reader's unparsed
+    /// tail and open-element stack, the pump's scope stack, captures,
     /// observers and statistics, and the outstanding budget charges. The
     /// bytes restore via
     /// [`PreparedQuery::restore_session`](crate::PreparedQuery::restore_session)

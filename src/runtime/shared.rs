@@ -111,8 +111,7 @@ impl<S: Sink> SharedSession<S> {
             return Err(FluxError::SessionAborted);
         }
         self.paused = false;
-        self.reader.feed(chunk);
-        self.drain();
+        self.run(chunk);
         Ok(())
     }
 
@@ -131,8 +130,7 @@ impl<S: Sink> SharedSession<S> {
             return Ok(FeedOutcome::Backpressure);
         }
         self.paused = false;
-        self.reader.feed(chunk);
-        self.drain();
+        self.run(chunk);
         Ok(FeedOutcome::Accepted)
     }
 
@@ -163,49 +161,45 @@ impl<S: Sink> SharedSession<S> {
         }
     }
 
-    fn drain(&mut self) {
-        match self.delivery {
-            DeliveryMode::Tape => self.drain_tape(),
-            DeliveryMode::PerEvent => self.drain_pull(),
-        }
-    }
-
-    fn drain_pull(&mut self) {
-        loop {
-            match self.reader.poll_resolved() {
-                // Dispatch is infallible at the stream level: a subscriber
-                // whose pump errors is detached inside the driver.
-                Ok(Polled::Event(ev)) => self.driver.feed_event(ev),
-                Ok(Polled::NeedMoreData | Polled::End) => return,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
+    /// Parse `chunk` and dispatch every event it completes. In tape mode
+    /// the chunk is parsed where it lies: batch, dispatch, repeat — events
+    /// taped before a parse error are dispatched first, so subscribers see
+    /// exactly the prefix a per-event pull would have delivered before the
+    /// failure.
+    fn run(&mut self, chunk: &[u8]) {
+        let res = match self.delivery {
+            DeliveryMode::Tape => {
+                let mut feed = self.reader.feed_in_place(chunk);
+                loop {
+                    let fill = feed.fill_tape(&mut self.tape);
+                    if !self.tape.is_empty() {
+                        self.tape_stats.batches += 1;
+                        self.tape_stats.events += self.tape.len() as u64;
+                        self.tape_stats.fast_forwarded += self.driver.feed_tape(&feed, &self.tape);
+                        self.tape.clear();
+                    }
+                    match fill {
+                        Ok(TapeFill::Full) => {}
+                        Ok(TapeFill::NeedMoreData | TapeFill::End) => break Ok(()),
+                        Err(e) => break Err(e),
+                    }
                 }
             }
-        }
-    }
-
-    /// Tape-mode drain: batch, dispatch, repeat. Events taped before a
-    /// parse error are dispatched first, so subscribers see exactly the
-    /// prefix a per-event pull would have delivered before the failure.
-    fn drain_tape(&mut self) {
-        loop {
-            let fill = self.reader.fill_tape(&mut self.tape);
-            if !self.tape.is_empty() {
-                self.tape_stats.batches += 1;
-                self.tape_stats.events += self.tape.len() as u64;
-                self.tape_stats.fast_forwarded += self.driver.feed_tape(&self.reader, &self.tape);
-                self.tape.clear();
-            }
-            match fill {
-                Ok(TapeFill::Full) => {}
-                Ok(TapeFill::NeedMoreData | TapeFill::End) => return,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
+            DeliveryMode::PerEvent => {
+                self.reader.feed(chunk);
+                loop {
+                    match self.reader.poll_resolved() {
+                        // Dispatch is infallible at the stream level: a
+                        // subscriber whose pump errors is detached inside
+                        // the driver.
+                        Ok(Polled::Event(ev)) => self.driver.feed_event(ev),
+                        Ok(Polled::NeedMoreData | Polled::End) => break Ok(()),
+                        Err(e) => break Err(e),
+                    }
                 }
             }
-        }
+        };
+        self.error = res.err();
     }
 
     /// Number of subscriptions (in any state).
@@ -391,7 +385,7 @@ impl<S: Sink> SharedSession<S> {
     pub fn finish_parts(mut self) -> Vec<(Result<RunStats, FluxError>, Option<S>)> {
         if self.error.is_none() {
             self.reader.close();
-            self.drain();
+            self.run(&[]);
         }
         match self.error {
             // The shared input itself is broken: every subscriber fails

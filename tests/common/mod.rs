@@ -296,3 +296,79 @@ pub fn canon_flux(q: &flux::core::FluxExpr) -> flux::core::FluxExpr {
         },
     }
 }
+
+// ---- chunk-seam fixtures (the in-place feed's window switch) ----
+
+/// Schema for [`seam_doc`]: `e_k` is the converted `k` attribute, `dead`
+/// subtrees are skipped by both [`SEAM_QUERIES`].
+pub const SEAM_DTD: &str = "<!ELEMENT r (e|dead)*><!ELEMENT e (e_k?,t,u)>\
+<!ELEMENT e_k (#PCDATA)><!ELEMENT t (#PCDATA)><!ELEMENT u (#PCDATA)>\
+<!ELEMENT dead (x)*><!ELEMENT x (#PCDATA)>";
+
+/// Two streaming queries over [`SEAM_DTD`] with different skip patterns.
+pub const SEAM_QUERIES: [&str; 2] = [
+    "<out>{ for $e in $ROOT/r/e return <hit> {$e/t} </hit> }</out>",
+    "<us>{ for $e in $ROOT/r/e return {$e/u} }</us>",
+];
+
+/// A document whose every kind of construct is `long` bytes or more, so a
+/// chunk seam inside one leaves a carry the next chunk's first stitch
+/// prefix does not cover: a comment and a CDATA section containing `>`, a
+/// long attribute value, text with an entity reference and multi-byte
+/// characters, a text run with no `<` for three times `long`, and short
+/// tags (so chunks also end exactly on `>`).
+pub fn seam_doc(long: usize) -> String {
+    let l = "v".repeat(long);
+    format!(
+        "<r><!-- c {l} > {l} --><e k=\"{l}\"><t>{l} &amp; é€ {l}</t>\
+         <u><![CDATA[{l} ]> <x> {l}]]></u></e>\
+         <dead><x>{l}{l}{l}</x><x>y</x><x/></dead>\
+         <e><t>z</t><u>w</u></e><e k='q'><t>é</t><u/></e></r>"
+    )
+}
+
+/// Malformed variants of [`seam_doc`], the defect far behind a long
+/// construct: a `>` inside a 10 KB attribute value (the reader cuts tags at
+/// the first `>`), a mismatched end tag, an unknown entity.
+pub fn seam_error_docs(long: usize) -> Vec<String> {
+    let l = "v".repeat(long);
+    vec![
+        format!("<r><e k=\"{}\"><t>z</t><u>w</u></e></r>", "a>b ".repeat(2560)),
+        format!("<r><e><t>{l}{l}</u><u>w</u></e></r>"),
+        format!("<r><e><t>z</t><u>{l}&bogus;{l}</u></e></r>"),
+    ]
+}
+
+/// One cut at `at`, or a second one `gap` bytes later: the construct under
+/// the first cut then straddles two or three chunks, the middle chunk
+/// shorter (1) or longer (70, 300) than the first stitch prefix.
+pub fn seam_cuts(len: usize, at: usize) -> Vec<Vec<usize>> {
+    let mut cuts = vec![vec![at]];
+    cuts.extend(
+        [1, 70, 300].into_iter().filter(|gap| at + gap <= len).map(|gap| vec![at, at + gap]),
+    );
+    cuts
+}
+
+/// `doc` cut at the (ascending) offsets `cuts`: `cuts.len() + 1` chunks.
+pub fn pieces<'a>(doc: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+    let bounds: Vec<usize> =
+        std::iter::once(0).chain(cuts.iter().copied()).chain([doc.len()]).collect();
+    bounds.windows(2).map(|w| &doc[w[0]..w[1]]).collect()
+}
+
+/// One forced scanner choice per backend this host can actually run.
+pub fn scanner_choices() -> Vec<flux::xml::ScannerChoice> {
+    use flux::xml::{Scanner, ScannerChoice};
+    let mut seen = Vec::new();
+    [ScannerChoice::ForceSwar, ScannerChoice::ForceSse2, ScannerChoice::ForceAvx2]
+        .into_iter()
+        .filter(|&c| {
+            let b = Scanner::with_choice(c).backend();
+            !seen.contains(&b) && {
+                seen.push(b);
+                true
+            }
+        })
+        .collect()
+}

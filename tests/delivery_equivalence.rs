@@ -9,7 +9,11 @@
 //! snapshot into a per-event session and vice versa — the delivery mode
 //! is deliberately excluded from the plan fingerprint), through the
 //! `run_to` BufRead path with a tiny buffer, and across an M=3 shared
-//! fan-out session.
+//! fan-out session. Since tape sessions parse each chunk in place and
+//! per-event sessions copy it into the reader first, the same assertions
+//! pin the in-place feed against the owning one.
+
+mod common;
 
 use std::io::BufReader;
 
@@ -40,29 +44,43 @@ fn prepare_pair(dtd: &str, query: &str) -> (PreparedQuery, PreparedQuery) {
     (tape.prepare(query).unwrap(), pull.prepare(query).unwrap())
 }
 
-/// Feed `doc` split at `at` into a session of `q` and return its outcome.
-fn run_split(q: &PreparedQuery, doc: &[u8], at: usize) -> (RunStats, String) {
+/// Feed `doc` cut at `cuts` into a session of `q` and return its outcome.
+fn run_split(q: &PreparedQuery, doc: &[u8], cuts: &[usize]) -> (RunStats, String) {
     let mut s = q.session_string();
-    s.feed(&doc[..at]).expect("prefix feeds clean");
-    s.feed(&doc[at..]).expect("suffix feeds clean");
-    let fin = s.finish().unwrap_or_else(|e| panic!("finish at split {at}: {e}"));
+    for chunk in common::pieces(doc, cuts) {
+        s.feed(chunk).expect("chunk feeds clean");
+    }
+    let fin = s.finish().unwrap_or_else(|e| panic!("finish at cuts {cuts:?}: {e}"));
     (fin.stats, fin.sink.into_string())
 }
 
 #[track_caller]
 fn assert_modes_agree(dtd: &str, query: &str, doc: &str) {
+    assert_modes_agree_cut(dtd, query, doc, |at| vec![vec![at]]);
+}
+
+/// `cuts_at(at)` lists the chunkings to try for first cut `at`.
+#[track_caller]
+fn assert_modes_agree_cut(
+    dtd: &str,
+    query: &str,
+    doc: &str,
+    cuts_at: impl Fn(usize) -> Vec<Vec<usize>>,
+) {
     let (tape_q, pull_q) = prepare_pair(dtd, query);
     let reference = pull_q.run_str(doc).unwrap();
     // One-shot: the tape-mode run_str must match the per-event run.
     let got = tape_q.run_str(doc).unwrap();
     assert_eq!(got.output, reference.output, "one-shot output differs");
     assert_eq!(got.stats, reference.stats, "one-shot stats differ");
-    // Every two-chunk split, both modes.
+    // Every first cut, both modes.
     for at in 0..=doc.len() {
-        for (q, mode) in [(&tape_q, "tape"), (&pull_q, "pull")] {
-            let (stats, out) = run_split(q, doc.as_bytes(), at);
-            assert_eq!(out, reference.output, "{mode} output differs at split {at}");
-            assert_eq!(stats, reference.stats, "{mode} stats differ at split {at}");
+        for cuts in cuts_at(at) {
+            for (q, mode) in [(&tape_q, "tape"), (&pull_q, "pull")] {
+                let (stats, out) = run_split(q, doc.as_bytes(), &cuts);
+                assert_eq!(out, reference.output, "{mode} output differs at cuts {cuts:?}");
+                assert_eq!(stats, reference.stats, "{mode} stats differ at cuts {cuts:?}");
+            }
         }
     }
 }
@@ -78,6 +96,19 @@ fn buffering_plan_is_delivery_invariant_at_every_split() {
     // The weak schema forces author buffering: capture/replay under tape
     // batches must byte-match the per-event run, peak included.
     assert_modes_agree(WEAK_DTD, Q3, WEAK_DOC);
+}
+
+#[test]
+fn straddling_constructs_are_delivery_invariant_at_every_split() {
+    // Comments, CDATA, a long attribute, entities, multi-byte text and a
+    // long text run, each longer than the in-place feed's first stitch
+    // prefix: the window switch must be as invisible as the tape itself.
+    let doc = common::seam_doc(200);
+    for query in common::SEAM_QUERIES {
+        assert_modes_agree_cut(common::SEAM_DTD, query, &doc, |at| {
+            common::seam_cuts(doc.len(), at)
+        });
+    }
 }
 
 #[test]

@@ -40,17 +40,20 @@ const WEAK_DOC: &str = "<bib><book><title>T1</title><author>A1</author><title>T1
 #[track_caller]
 fn check_split(q: &PreparedQuery, reference: &RunOutcome, doc: &[u8], splits: &[usize]) {
     let mut session = q.session(StringSink::new());
-    let mut prev = 0usize;
-    for &at in splits {
-        session.feed(&doc[prev..at]).expect("worker alive");
-        prev = at;
+    for chunk in common::pieces(doc, splits) {
+        session.feed(chunk).expect("worker alive");
     }
-    session.feed(&doc[prev..]).expect("worker alive");
     let fin = session.finish().unwrap_or_else(|e| panic!("session failed at {splits:?}: {e}"));
     assert_eq!(fin.sink.as_str(), reference.output, "output differs for splits {splits:?}");
     assert_eq!(
         fin.stats, reference.stats,
         "stats (incl. peak_buffer_bytes) differ for splits {splits:?}"
+    );
+    // Telemetry compares always-equal inside `RunStats`; this one is a
+    // property of the document, not of how it was delivered.
+    assert_eq!(
+        fin.stats.tape.fast_forwarded, reference.stats.tape.fast_forwarded,
+        "fast-forwarded events differ for splits {splits:?}"
     );
 }
 
@@ -136,4 +139,90 @@ fn empty_chunks_are_harmless() {
     let reference = q.run_str(STRONG_DOC).unwrap();
     let mid = STRONG_DOC.len() / 2;
     check_split(&q, &reference, STRONG_DOC.as_bytes(), &[0, 0, mid, mid, STRONG_DOC.len()]);
+}
+
+/// Both seam queries plus a duplicate of the first (a two-member class).
+fn seam_set(engine: &Engine) -> SubscriptionSet {
+    let mut reg = QueryRegistry::new();
+    reg.register("t", engine.prepare(common::SEAM_QUERIES[0]).unwrap());
+    reg.register("u", engine.prepare(common::SEAM_QUERIES[1]).unwrap());
+    SubscriptionSet::compile_subset(&reg, &["t", "u", "t"]).unwrap()
+}
+
+/// Outcome of a shared session over `doc` cut at `cuts`: per subscriber the
+/// stats (or the error text), the fast-forward count and the output.
+fn shared_split(
+    set: &SubscriptionSet,
+    doc: &[u8],
+    cuts: &[usize],
+) -> Vec<(Result<RunStats, String>, u64, String)> {
+    let mut s = set.session_strings();
+    for chunk in common::pieces(doc, cuts) {
+        let _ = s.feed(chunk); // a parse error refuses later chunks
+    }
+    s.finish_parts()
+        .into_iter()
+        .map(|(res, sink)| {
+            let ff = res.as_ref().map_or(0, |st| st.tape.fast_forwarded);
+            (res.map_err(|e| e.to_string()), ff, sink.unwrap().into_string())
+        })
+        .collect()
+}
+
+#[test]
+fn constructs_straddling_two_and_three_chunks_are_invisible() {
+    // The in-place feed's window switch: a construct longer than the first
+    // stitch prefix, cut once or twice, on every backend, for a single and
+    // a shared session.
+    let doc = common::seam_doc(200);
+    for choice in common::scanner_choices() {
+        let engine = Engine::builder().dtd_str(common::SEAM_DTD).scanner(choice).build().unwrap();
+        let q = engine.prepare(common::SEAM_QUERIES[0]).unwrap();
+        let reference = q.run_str(&doc).unwrap();
+        assert!(reference.output.contains("é€"), "{}", reference.output);
+        let set = seam_set(&engine);
+        let shared_reference = shared_split(&set, doc.as_bytes(), &[]);
+        assert_eq!(shared_reference[0].2, reference.output);
+        assert_eq!(shared_reference[0].0.as_ref().unwrap(), &reference.stats);
+        for at in 0..=doc.len() {
+            for cuts in common::seam_cuts(doc.len(), at) {
+                check_split(&q, &reference, doc.as_bytes(), &cuts);
+                let shared = shared_split(&set, doc.as_bytes(), &cuts);
+                assert_eq!(shared, shared_reference, "{choice:?} shared session, cuts {cuts:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn errors_behind_a_straddling_construct_keep_their_offsets() {
+    for doc in common::seam_error_docs(200) {
+        let doc = doc.as_bytes();
+        for choice in common::scanner_choices() {
+            let engine =
+                Engine::builder().dtd_str(common::SEAM_DTD).scanner(choice).build().unwrap();
+            let q = engine.prepare(common::SEAM_QUERIES[0]).unwrap();
+            // The error's text carries its byte offset.
+            let reference = q.run_bytes(doc).unwrap_err().to_string();
+            assert!(reference.contains("byte"), "{reference}");
+            let set = seam_set(&engine);
+            let shared_reference = shared_split(&set, doc, &[]);
+            assert_eq!(shared_reference[0].0.as_ref().unwrap_err(), &reference);
+            // Every offset for the short documents, a stride plus the last
+            // 200 for the 10 KB one.
+            let dense = doc.len() < 2000;
+            for at in (0..=doc.len()).filter(|at| dense || at % 61 == 0 || at + 200 > doc.len()) {
+                for cuts in common::seam_cuts(doc.len(), at) {
+                    let mut s = q.session(StringSink::new());
+                    for chunk in common::pieces(doc, &cuts) {
+                        let _ = s.feed(chunk);
+                    }
+                    let err = s.finish_parts().0.expect_err("malformed input must fail");
+                    assert_eq!(err.to_string(), reference, "{choice:?} cuts {cuts:?}");
+                    let shared = shared_split(&set, doc, &cuts);
+                    assert_eq!(shared, shared_reference, "{choice:?} shared, cuts {cuts:?}");
+                }
+            }
+        }
+    }
 }

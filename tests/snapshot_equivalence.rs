@@ -8,12 +8,15 @@
 //! for a shared M=3 fan-out session, and for fan-out sets with duplicate
 //! subscribers (plan classes), one of them aborted before the snapshot.
 
+mod common;
+
 use std::cell::RefCell;
 use std::io;
 use std::rc::Rc;
 
 use flux::prelude::*;
 use flux::xmark::{generate_string, XmarkConfig, PAPER_QUERIES, XMARK_DTD};
+use flux::xml::DeliveryMode;
 
 /// A sink whose contents stay observable while the session is live — so a
 /// prefix run's streamed output can be read at the snapshot point without
@@ -108,6 +111,59 @@ fn buffering_plan_snapshots_at_every_offset() {
     // recorder trees, capture buffers and observer stacks mid-scope.
     let engine = Engine::builder().dtd_str(WEAK_DTD).build().unwrap();
     check_every_offset(&engine.prepare(Q3).unwrap(), WEAK_DOC);
+}
+
+#[test]
+fn snapshots_between_in_place_feeds_equal_the_owning_path_and_restore() {
+    // A tape session parses each chunk where it lies and carries only the
+    // unparsed tail; a per-event session copies every chunk into the reader
+    // (the owning `Reader::feed`). Between any two feeds — with constructs
+    // straddling two and three chunks — both must serialize to the same
+    // envelope, the reader section must hold exactly the unconsumed tail,
+    // and the snapshot must resume byte-identically.
+    let doc = common::seam_doc(200);
+    let doc = doc.as_bytes();
+    let prepare = |mode| {
+        let engine = Engine::builder().dtd_str(common::SEAM_DTD).delivery(mode).build().unwrap();
+        engine.prepare(common::SEAM_QUERIES[0]).unwrap()
+    };
+    let (tape_q, pull_q) = (prepare(DeliveryMode::Tape), prepare(DeliveryMode::PerEvent));
+    let reference = tape_q.run_bytes(doc).unwrap();
+    for at in 0..=doc.len() {
+        for cuts in common::seam_cuts(doc.len(), at) {
+            let prefix_sink = SharedSink::default();
+            let mut in_place = tape_q.session(prefix_sink.clone());
+            let mut owning = pull_q.session(StringSink::new());
+            let mut prev = 0;
+            for (k, &cut) in cuts.iter().enumerate() {
+                in_place.feed(&doc[prev..cut]).unwrap();
+                owning.feed(&doc[prev..cut]).unwrap();
+                prev = cut;
+                let snap = in_place.snapshot().unwrap();
+                assert_eq!(snap, owning.snapshot().unwrap(), "cuts {cuts:?}, after feed {k}");
+
+                let sections = flux::state::Sections::parse(&snap).unwrap();
+                let mut reader = sections.require(flux::state::section::READER).unwrap();
+                let tail = reader.get_bytes().unwrap();
+                assert!(!reader.get_bool().unwrap(), "not closed");
+                let offset = reader.get_uint().unwrap() as usize;
+                assert_eq!(tail, &doc[offset..cut], "cuts {cuts:?}: reader section is the tail");
+                assert_eq!(in_place.buffered_bytes(), owning.buffered_bytes());
+
+                let mut resumed = tape_q.restore_session(StringSink::new(), &snap).unwrap();
+                for chunk in &common::pieces(doc, &cuts)[k + 1..] {
+                    resumed.feed(chunk).unwrap();
+                }
+                let fin = resumed.finish().unwrap();
+                assert_eq!(
+                    format!("{}{}", prefix_sink.contents(), fin.sink.as_str()),
+                    reference.output,
+                    "cuts {cuts:?}, resumed after feed {k}"
+                );
+                assert_eq!(fin.stats, reference.stats, "cuts {cuts:?}, resumed after feed {k}");
+            }
+        }
+    }
 }
 
 #[test]
