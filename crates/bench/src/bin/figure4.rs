@@ -8,8 +8,6 @@
 //!
 //! Options:
 //!   --full              use the paper's sizes (5,10,50,100 MB)
-//!   --large             the `throughput --large` sizes (4, 32 MB): the
-//!                       Figure-4-scale FluX-vs-DOM memory comparison
 //!   --sizes LIST        comma-separated sizes in MB (default 1,2,5,10)
 //!   --queries LIST      subset of Q1,Q8,Q11,Q13,Q20 (default: all)
 //!   --cap-mb N          DOM memory cap in MB (default 512, the paper's box)
@@ -21,17 +19,12 @@
 //!   --data-dir PATH     where to cache generated documents
 //!   --weak-dtd          schedule with the order-free DTD (ablation)
 //!   --verify            also cross-check FluX vs galax-sim output sizes
-//!   --record            merge the largest size's FluX-vs-DOM time/peak
-//!                       memory cells into BENCH_throughput.json (the
-//!                       `"figure4"` section, order-invariant with the
-//!                       other bench bins)
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use flux_bench::harness::{dataset, prepare_cell, EngineKind};
-use flux_bench::report::{format_figure4, merge_section, Row};
+use flux_bench::report::{format_figure4, Row};
 use flux_bench::XMARK_DTD_WEAK;
 use flux_dtd::Dtd;
 use flux_xmark::{PAPER_QUERIES, XMARK_DTD};
@@ -45,7 +38,6 @@ struct Args {
     data_dir: PathBuf,
     weak_dtd: bool,
     verify: bool,
-    record: bool,
 }
 
 fn parse_args() -> Args {
@@ -58,7 +50,6 @@ fn parse_args() -> Args {
         data_dir: PathBuf::from("target/xmark-data"),
         weak_dtd: false,
         verify: false,
-        record: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -70,7 +61,6 @@ fn parse_args() -> Args {
         };
         match a.as_str() {
             "--full" => args.sizes_mb = vec![5, 10, 50, 100],
-            "--large" => args.sizes_mb = vec![4, 32],
             "--sizes" => {
                 args.sizes_mb = val("--sizes")
                     .split(',')
@@ -86,7 +76,6 @@ fn parse_args() -> Args {
             "--data-dir" => args.data_dir = PathBuf::from(val("--data-dir")),
             "--weak-dtd" => args.weak_dtd = true,
             "--verify" => args.verify = true,
-            "--record" => args.record = true,
             "--help" | "-h" => {
                 println!("see the module docs at the top of figure4.rs");
                 std::process::exit(0);
@@ -187,58 +176,10 @@ fn main() {
 
     println!("\nFigure 4 (reproduced) — time / peak memory");
     println!("{}", format_figure4(&rows));
-    if args.record {
-        record_largest(&rows, &args);
-    }
     println!("notes:");
     println!(
         "  - galax-sim = DOM + path projection [14]; anonx-sim = DOM, time-only (see DESIGN.md §3)"
     );
     println!("  - '- / >NM cap' = materialization aborted at the memory cap, like the paper's '- / >500M'");
     println!("  - FluX memory is peak runtime buffer bytes; 0 means fully streamed");
-}
-
-/// Merge the largest measured size's FluX-vs-DOM cells into
-/// `BENCH_throughput.json` (the `"figure4"` section), so the Figure-4-scale
-/// memory gap is tracked next to the MB/s trajectory.
-fn record_largest(rows: &[Row], args: &Args) {
-    let largest = format!("{}M", args.sizes_mb.iter().max().expect("at least one size"));
-    let measured: Vec<&Row> =
-        rows.iter().filter(|r| r.size == largest && r.flux.is_some()).collect();
-    if measured.is_empty() {
-        eprintln!("--record: no measured rows at {largest}; nothing written");
-        return;
-    }
-    let mut section = format!(
-        "{{\"bin\": \"figure4\", \"doc_mb\": {}, \"seed\": {}, \"rows\": [",
-        args.sizes_mb.iter().max().unwrap(),
-        args.seed
-    );
-    for (i, row) in measured.iter().enumerate() {
-        let flux = row.flux.as_ref().expect("filtered on flux");
-        let _ = write!(
-            section,
-            "{}{{\"query\": \"{}\", \"flux_seconds\": {:.3}, \"flux_peak_bytes\": {}",
-            if i == 0 { "" } else { ", " },
-            row.query,
-            flux.seconds,
-            flux.memory_bytes.unwrap_or(0),
-        );
-        if let Some(galax) = &row.galax {
-            let _ = write!(
-                section,
-                ", \"galax_seconds\": {:.3}, \"galax_peak_bytes\": {}, \"galax_aborted\": {}",
-                galax.seconds,
-                galax.memory_bytes.unwrap_or(0),
-                galax.aborted.is_some(),
-            );
-        }
-        section.push('}');
-    }
-    section.push_str("]}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    let existing = std::fs::read_to_string(path).ok();
-    std::fs::write(path, merge_section(existing.as_deref(), "figure4", &section))
-        .expect("write BENCH_throughput.json");
-    println!("recorded the {largest} cells into {path}");
 }

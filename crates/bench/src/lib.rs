@@ -1,4 +1,4 @@
-//! # flux-bench — the Figure 4 harness and ablation benchmarks
+//! # flux-bench — the Figure 4 harness and the `fluxq` CLI
 //!
 //! [`harness`] runs one (engine, query, document) cell exactly as the paper
 //! measured it: wall-clock execution time plus "maximum memory consumption"
@@ -14,7 +14,6 @@
 //! ```
 
 pub mod harness;
-pub mod micro;
 pub mod report;
 
 pub use harness::{dataset, prepare_cell, run_cell, Dataset, EngineKind, EngineRun, PreparedCell};

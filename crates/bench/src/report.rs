@@ -1,112 +1,6 @@
-//! Rendering measured cells in the layout of the paper's Figure 4, plus
-//! the `BENCH_throughput.json` merge protocol shared by the bench
-//! binaries.
-//!
-//! The file is one JSON object. The `throughput` bin owns the *head*
-//! (everything up to the first section marker); every other bin owns one
-//! named *section* — a single-line JSON value behind a `\n  ,"name"`
-//! marker. [`merge_section`] and [`merge_throughput`] preserve everything
-//! they do not own, so the bins can run in **any order, any number of
-//! times** without clobbering each other's figures (pinned by the unit
-//! tests below and a CI step that runs them in both orders).
+//! Rendering measured cells in the layout of the paper's Figure 4.
 
 use crate::harness::EngineRun;
-
-/// The section names each bench binary may own, in the canonical order
-/// they are laid out in the file.
-pub const SECTIONS: &[&str] =
-    &["concurrency", "netbench", "observability", "figure4", "fanout", "tokenizer", "snapshot"];
-
-/// The `"concurrency"` section marker (kept as a named constant because CI
-/// greps for it).
-pub const CONCURRENCY_MARKER: &str = "\n  ,\"concurrency\"";
-
-fn marker(name: &str) -> String {
-    format!("\n  ,{name:?}")
-}
-
-/// The `throughput`-owned head of the file: everything before the first
-/// section, with the closing brace stripped so sections (and a fresh `}`
-/// terminator) can be appended.
-pub fn throughput_head(json: &str) -> &str {
-    match SECTIONS.iter().filter_map(|n| json.find(&marker(n))).min() {
-        Some(i) => &json[..i],
-        None => {
-            let t = json.trim_end();
-            t.strip_suffix('}').unwrap_or(t).trim_end()
-        }
-    }
-}
-
-/// The named sections present in the file, as `(name, value)` pairs.
-pub fn sections(json: &str) -> Vec<(&'static str, &str)> {
-    let mut found: Vec<(usize, &'static str)> =
-        SECTIONS.iter().filter_map(|n| json.find(&marker(n)).map(|i| (i, *n))).collect();
-    found.sort_unstable();
-    let mut out = Vec::new();
-    for (k, &(start, name)) in found.iter().enumerate() {
-        let value_start = start + marker(name).len();
-        let end = found.get(k + 1).map(|&(next, _)| next).unwrap_or_else(|| {
-            let t = json.trim_end();
-            t.strip_suffix('}').unwrap_or(t).len()
-        });
-        let value = json[value_start..end].trim_start_matches(':').trim();
-        out.push((name, value));
-    }
-    out
-}
-
-/// Render head + sections back into the canonical file layout.
-fn render(head: &str, sections: &[(&str, String)]) -> String {
-    let mut out = head.trim_end().to_string();
-    for name in SECTIONS {
-        if let Some((_, value)) = sections.iter().find(|(n, _)| n == name) {
-            out.push_str(&marker(name));
-            out.push_str(": ");
-            out.push_str(value);
-        }
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-/// Merge a freshly rendered section body (the single-line JSON value,
-/// without the marker) into the existing file contents, preserving the
-/// throughput head and every other section. `existing` may be `None` (file
-/// absent: a minimal head is synthesized so the `throughput` bin can still
-/// merge later). `name` must be one of [`SECTIONS`].
-pub fn merge_section(existing: Option<&str>, name: &str, section_value: &str) -> String {
-    assert!(SECTIONS.contains(&name), "unknown section {name:?}");
-    let head = match existing {
-        Some(s) => throughput_head(s).to_string(),
-        None => "{\n  \"bench\": \"throughput\"".to_string(),
-    };
-    let mut secs: Vec<(&str, String)> = existing
-        .map(|s| sections(s).into_iter().map(|(n, v)| (n, v.to_string())).collect())
-        .unwrap_or_default();
-    match secs.iter_mut().find(|(n, _)| *n == name) {
-        Some(slot) => slot.1 = section_value.to_string(),
-        None => secs.push((SECTIONS.iter().find(|n| **n == name).unwrap(), section_value.into())),
-    }
-    render(&head, &secs)
-}
-
-/// Merge a freshly rendered `concurrency` section into the file.
-pub fn merge_concurrency(existing: Option<&str>, section_value: &str) -> String {
-    merge_section(existing, "concurrency", section_value)
-}
-
-/// Merge freshly rendered throughput JSON (a complete `{…}` document) with
-/// every section of the existing file contents.
-pub fn merge_throughput(existing: Option<&str>, throughput_json: &str) -> String {
-    let secs: Vec<(&str, String)> = existing
-        .map(|s| sections(s).into_iter().map(|(n, v)| (n, v.to_string())).collect())
-        .unwrap_or_default();
-    if secs.is_empty() {
-        return throughput_json.to_string();
-    }
-    render(throughput_head(throughput_json), &secs)
-}
 
 /// One row of the results table: a query at one document size.
 #[derive(Debug, Clone)]
@@ -181,113 +75,6 @@ pub fn format_figure4(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const THROUGHPUT: &str =
-        "{\n  \"bench\": \"throughput\",\n  \"results\": [\n    {\"query\": \"Q1\"}\n  ]\n}\n";
-    const SECTION: &str = "{\"bin\": \"concurrency\", \"sessions_per_thread\": 10}";
-    const NETBENCH: &str = "{\"bin\": \"netbench\", \"connections\": 32}";
-    const OBSERVABILITY: &str = "{\"bin\": \"netbench\", \"scrape_hz\": 10}";
-    const FIGURE4: &str = "{\"bin\": \"figure4\", \"rows\": []}";
-    const FANOUT: &str = "{\"bin\": \"fanout\", \"runs\": []}";
-    const TOKENIZER: &str = "{\"bin\": \"tokenizer\", \"backends\": []}";
-    const SNAPSHOT: &str = "{\"bin\": \"snapshot\", \"sessions\": 1000}";
-
-    #[test]
-    fn bench_json_merges_in_either_run_order() {
-        // throughput first, then concurrency:
-        let a = merge_concurrency(Some(THROUGHPUT), SECTION);
-        // concurrency first (no file), then throughput:
-        let b = merge_throughput(Some(&merge_concurrency(None, SECTION)), THROUGHPUT);
-        for s in [&a, &b] {
-            assert!(s.contains("\"results\""), "{s}");
-            assert!(s.contains("\"concurrency\""), "{s}");
-            assert!(s.trim_end().ends_with('}'), "{s}");
-        }
-        // Sections survive re-runs of either bin without duplication.
-        let a2 = merge_concurrency(Some(&a), SECTION);
-        assert_eq!(a2.matches(CONCURRENCY_MARKER).count(), 1, "{a2}");
-        let a3 = merge_throughput(Some(&a2), THROUGHPUT);
-        assert_eq!(a3.matches("\"results\"").count(), 1, "{a3}");
-        assert_eq!(a3.matches(CONCURRENCY_MARKER).count(), 1, "{a3}");
-    }
-
-    #[test]
-    fn all_sections_merge_order_invariantly() {
-        // Apply the four writers in several different orders; the result
-        // must always carry the head and every section exactly once.
-        type Step = (&'static str, &'static str);
-        let steps: [Step; 8] = [
-            ("throughput", THROUGHPUT),
-            ("concurrency", SECTION),
-            ("netbench", NETBENCH),
-            ("observability", OBSERVABILITY),
-            ("figure4", FIGURE4),
-            ("fanout", FANOUT),
-            ("tokenizer", TOKENIZER),
-            ("snapshot", SNAPSHOT),
-        ];
-        let orders: [[usize; 8]; 5] = [
-            [0, 1, 2, 3, 4, 5, 6, 7],
-            [7, 6, 5, 4, 3, 2, 1, 0],
-            [2, 5, 7, 6, 4, 0, 3, 1],
-            [1, 3, 5, 7, 6, 4, 0, 2],
-            [3, 0, 7, 6, 4, 5, 1, 2],
-        ];
-        for order in orders {
-            let mut file: Option<String> = None;
-            for &i in &order {
-                let (name, value) = steps[i];
-                let merged = match name {
-                    "throughput" => merge_throughput(file.as_deref(), value),
-                    n => merge_section(file.as_deref(), n, value),
-                };
-                file = Some(merged);
-            }
-            let s = file.unwrap();
-            assert_eq!(s.matches("\"results\"").count(), 1, "order {order:?}: {s}");
-            for name in SECTIONS {
-                assert_eq!(
-                    s.matches(&marker(name)).count(),
-                    1,
-                    "order {order:?} section {name}: {s}"
-                );
-            }
-            assert!(s.trim_end().ends_with('}'), "{s}");
-            // Sections come back out exactly as they went in.
-            let parsed = sections(&s);
-            assert_eq!(
-                parsed,
-                vec![
-                    ("concurrency", SECTION),
-                    ("netbench", NETBENCH),
-                    ("observability", OBSERVABILITY),
-                    ("figure4", FIGURE4),
-                    ("fanout", FANOUT),
-                    ("tokenizer", TOKENIZER),
-                    ("snapshot", SNAPSHOT),
-                ],
-                "order {order:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rewriting_one_section_leaves_the_others_untouched() {
-        let mut file = merge_throughput(None, THROUGHPUT);
-        file = merge_section(Some(&file), "netbench", NETBENCH);
-        file = merge_section(Some(&file), "figure4", FIGURE4);
-        let updated = "{\"bin\": \"netbench\", \"connections\": 64}";
-        file = merge_section(Some(&file), "netbench", updated);
-        let parsed = sections(&file);
-        assert_eq!(parsed, vec![("netbench", updated), ("figure4", FIGURE4)]);
-        assert_eq!(file.matches("\"results\"").count(), 1, "{file}");
-    }
-
-    #[test]
-    fn throughput_rerun_without_section_is_identity() {
-        assert_eq!(merge_throughput(None, THROUGHPUT), THROUGHPUT);
-        assert_eq!(merge_throughput(Some(THROUGHPUT), THROUGHPUT), THROUGHPUT);
-    }
 
     fn run(sec: f64, mem: Option<u64>, aborted: Option<&str>) -> EngineRun {
         EngineRun {

@@ -162,8 +162,7 @@ impl FluxExpr {
     }
 
     /// Count `on-first` handlers anywhere in the expression — a quick proxy
-    /// for "how much buffering does this plan need" used by tests and the
-    /// ablation benches.
+    /// for "how much buffering does this plan need" used by tests.
     pub fn on_first_count(&self) -> usize {
         let mut n = 0;
         self.visit_ps(&mut |_, handlers| {

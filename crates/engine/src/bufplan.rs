@@ -89,7 +89,7 @@ impl BufferTree {
 }
 
 /// The runtime form of a pruned [`BufferTree`], compiled once when a query
-/// is prepared: children keyed by interned [`NameId`](flux_xml::NameId), so
+/// is prepared: children keyed by interned [`NameId`], so
 /// the recorder's per-event lookup is a scan over a short id array
 /// (children lists in DTD content models are small) instead of a string
 /// `BTreeMap` probe, and no path strings are split, copied or hashed per

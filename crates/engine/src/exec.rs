@@ -21,8 +21,8 @@
 //! # Control flow: an explicit scope stack, not recursion
 //!
 //! The paper's engine is a *pull* loop that recurses over scopes and blocks
-//! on the parser. Here the recursion is an explicit stack of [`Frame`]s and
-//! control is inverted: the [`Machine`] consumes one resolved event at a
+//! on the parser. Here the recursion is an explicit stack of `Frame`s and
+//! control is inverted: the `Machine` consumes one resolved event at a
 //! time and *returns* when it needs more input, so a caller can run many
 //! executions concurrently on one thread ([`Pump`] is the public face; the
 //! facade's `Session` couples one to an incremental reader). Only the live

@@ -20,7 +20,7 @@
 //! Candidates come out in document order and the rest of the `where` clause
 //! and the loop body run through the ordinary evaluator, so the output is
 //! byte-identical to the nested loop. Which loops qualify is decided from
-//! the shape of the expression alone ([`plan_join`]); `loop_strategies`
+//! the shape of the expression alone (`plan_join`); [`loop_strategies`]
 //! renders the same decision for EXPLAIN.
 //!
 //! Index memory is *asked for before it is built*: the memo is constructed

@@ -1,7 +1,6 @@
 //! A small blocking client for the flux-serve wire protocol — what the
-//! loopback tests, the example and the `netbench` driver speak. Production
-//! clients in other languages only need the frame table in
-//! [`protocol`](crate::protocol).
+//! loopback tests and the example speak. Production clients in other
+//! languages only need the frame table in [`protocol`](crate::protocol).
 //!
 //! Writes are internally buffered and flushed opportunistically without
 //! blocking, and reads drain whenever a write would block — so a caller may

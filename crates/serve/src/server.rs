@@ -7,7 +7,7 @@
 //! inbound frames into runtime commands (`OPEN` → [`Runtime::open`],
 //! `CHUNK` → [`Runtime::feed`], …), drains the runtime's
 //! completion/flow-control events back into outbound frames, moves engine
-//! output from the per-session [`SharedOut`] buffers into `RESULT` frames,
+//! output from the per-session `SharedOut` buffers into `RESULT` frames,
 //! and flushes write buffers. The engine itself executes on the runtime's
 //! worker threads; the server thread only shovels bytes — which is why a
 //! single poll loop drives thousands of connections.
@@ -56,7 +56,7 @@ use crate::protocol::{DecodePoll, ErrorCode, FrameKind, StallReason};
 
 /// Tuning knobs for a [`Server`].
 pub struct ServerConfig {
-    /// Worker threads in the underlying [`Runtime`].
+    /// Worker threads in the underlying [`Runtime`]; at least 1.
     pub shards: usize,
     /// Shared buffer budget all sessions charge (admission control); `None`
     /// = unbounded.
@@ -172,12 +172,20 @@ impl Server {
     }
 
     /// Bind with an explicit poller backend (the epoll/io_uring seam).
+    /// A config with `shards: 0` is refused with
+    /// [`io::ErrorKind::InvalidInput`] before anything is bound or spawned.
     pub fn bind_with_poller(
         addr: impl ToSocketAddrs,
         registry: QueryRegistry,
         cfg: ServerConfig,
         mut poller: Box<dyn Poller>,
     ) -> io::Result<Server> {
+        if cfg.shards == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "ServerConfig::shards must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let waker = poller.waker();

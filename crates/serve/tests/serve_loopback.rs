@@ -45,6 +45,16 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 #[test]
+fn zero_shards_is_an_invalid_input_error_not_a_panic() {
+    let (registry, _) = weak_registry();
+    let cfg = ServerConfig { shards: 0, ..ServerConfig::default() };
+    match Server::bind("127.0.0.1:0", registry, cfg) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(_) => panic!("a zero-shard server must be refused"),
+    }
+}
+
+#[test]
 fn concurrent_clients_with_tiny_chunks_match_one_shot_for_every_query() {
     // Every query of the paper's suite over the same XMark document, many
     // concurrent connections, chunk sizes from pathological to sane — all

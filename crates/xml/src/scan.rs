@@ -995,6 +995,22 @@ mod tests {
         // Forced choices never exceed their cap.
         assert!(Scanner::with_choice(ScannerChoice::ForceSse2).backend() <= Backend::Sse2);
         assert!(Scanner::with_choice(ScannerChoice::ForceAvx2).backend() <= Backend::Avx2);
+        // The kill switch wins over detection and every explicit choice.
+        if std::env::var_os("FLUX_FORCE_SWAR").is_some_and(|v| !v.is_empty()) {
+            assert_eq!(auto.backend(), Backend::Swar, "FLUX_FORCE_SWAR must force detect()");
+            for choice in [
+                ScannerChoice::Auto,
+                ScannerChoice::ForceSwar,
+                ScannerChoice::ForceSse2,
+                ScannerChoice::ForceAvx2,
+            ] {
+                assert_eq!(
+                    Scanner::with_choice(choice).backend(),
+                    Backend::Swar,
+                    "FLUX_FORCE_SWAR must override {choice:?}"
+                );
+            }
+        }
     }
 
     #[test]

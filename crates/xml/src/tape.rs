@@ -230,8 +230,8 @@ impl EventTape {
     }
 
     /// True when the batch has reached its soft capacity — either the
-    /// item count or the copied-payload arena mark (see
-    /// [`TAPE_ARENA_BYTES`]).
+    /// item count or the copied-payload arena mark (`TAPE_ARENA_BYTES`,
+    /// 32 KiB).
     #[inline]
     pub fn is_full(&self) -> bool {
         self.items.len() >= TAPE_BATCH_EVENTS || self.arena.len() >= TAPE_ARENA_BYTES

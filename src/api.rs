@@ -26,7 +26,7 @@ use flux_xml::{AttributeMode, DeliveryMode, ScannerChoice, Sink, StringSink};
 use crate::error::FluxError;
 use crate::runtime::Session;
 
-/// A configured query engine for one schema. See the [module docs](self).
+/// A configured query engine for one schema. See the [crate docs](crate).
 #[derive(Debug, Clone)]
 pub struct Engine {
     dtd: Arc<Dtd>,

@@ -30,7 +30,7 @@ use crate::error::FluxError;
 use crate::runtime::SharedSession;
 
 /// A set of prepared queries compiled into one shared single-pass plan.
-/// See the [module docs](self).
+/// See the [crate docs](crate).
 #[derive(Clone)]
 pub struct SubscriptionSet {
     plan: Arc<FanoutPlan>,

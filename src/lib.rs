@@ -7,7 +7,7 @@
 //! The pieces (see `DESIGN.md` for the full inventory):
 //!
 //! * [`xml`] — streaming XML parser/serializer, DOM trees, XSAX attribute
-//!   conversion, and the [`Sink`] output abstraction.
+//!   conversion, and the [`Sink`](xml::Sink) output abstraction.
 //! * [`dtd`] — DTDs, Glushkov automata, order constraints `Ord_ρ(a,b)`,
 //!   `first-past` punctuation.
 //! * [`query`] — the XQuery− fragment: AST, parser, normal form (Figure 1),
@@ -135,7 +135,7 @@
 //! }
 //!
 //! // N worker threads behind one poll-shaped handle.
-//! let mut rt = Runtime::new(2);
+//! let mut rt = RuntimeBuilder::new(2).build();
 //! let ids: Vec<_> = (0..16).map(|_| rt.open(&q, StringSink::new())).collect();
 //! let chunk: std::sync::Arc<[u8]> = doc1.as_bytes().into();
 //! for &id in &ids {

@@ -29,7 +29,7 @@ use flux_engine::{BudgetHook, BudgetWaker};
 /// threads. Cheap to clone (an `Arc` bump); plug it into a
 /// [`Shard`](crate::Shard) with [`Shard::with_budget`](crate::Shard) or a
 /// [`Runtime`](crate::Runtime) with
-/// [`Runtime::with_admission`](crate::Runtime::with_admission).
+/// [`RuntimeBuilder::admission`](crate::RuntimeBuilder::admission).
 #[derive(Clone)]
 pub struct AdmissionController {
     inner: Arc<Inner>,
@@ -114,8 +114,8 @@ impl AdmissionController {
 
     /// A controller over `budget` bytes pausing sessions once headroom
     /// drops below `reserve` (clamped to the budget). Size the reserve
-    /// above the largest per-event growth of the workload — see the
-    /// [module docs](self).
+    /// above the largest per-event growth of the workload: roughly the
+    /// largest text node times the number of buffers observing it.
     pub fn with_reserve(budget: usize, reserve: usize) -> AdmissionController {
         AdmissionController {
             inner: Arc::new(Inner {

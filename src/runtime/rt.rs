@@ -287,7 +287,7 @@ struct Slot {
 }
 
 /// N single-threaded session multiplexers on N worker threads — see the
-/// [module docs](self).
+/// [`runtime`](crate::runtime) module docs.
 pub struct Runtime<S: Sink + Send + 'static> {
     workers: Vec<WorkerHandle<S>>,
     events: Receiver<(Instant, RuntimeEvent<S>)>,
@@ -299,10 +299,8 @@ pub struct Runtime<S: Sink + Send + 'static> {
 }
 
 /// Configuration for a [`Runtime`]: shard count plus the optional budget,
-/// suspend policy, metrics registry and tracer — built with
-/// [`Runtime::builder`]. The named `Runtime::with_*` constructors cover
-/// the common combinations; the builder is the full surface (and the only
-/// way to attach observability).
+/// suspend policy, metrics registry, tracer and owner notifier. The only
+/// way to build a runtime: `RuntimeBuilder::new(shards)…build()`.
 pub struct RuntimeBuilder {
     shards: usize,
     budget: Option<Arc<dyn BudgetHook>>,
@@ -330,15 +328,21 @@ impl RuntimeBuilder {
         self.budget(admission.hook())
     }
 
-    /// Charge every session against an arbitrary [`BudgetHook`] (see
-    /// [`Runtime::with_budget`] for the wakeup contract wrapping hooks
-    /// must keep).
+    /// Charge every session against an arbitrary [`BudgetHook`] — the seam
+    /// for wrapping an [`AdmissionController`] with counting or logging
+    /// decoration. The hook must deliver budget-release wakeups
+    /// ([`BudgetHook::subscribe_waker`]) if it ever pauses sessions;
+    /// wrapping hooks should forward all five trait methods to the inner
+    /// controller.
     pub fn budget(mut self, budget: Arc<dyn BudgetHook>) -> RuntimeBuilder {
         self.budget = Some(budget);
         self
     }
 
-    /// Spill idle sessions to disk per `policy`.
+    /// Spill idle sessions to disk per `policy`. Combined with a budget, the
+    /// spill releases a parked session's charges, so suspension is also a
+    /// pressure valve: idle sessions hand their headroom to active ones and
+    /// reclaim it (through the gate) when they wake.
     pub fn suspend(mut self, policy: SuspendPolicy) -> RuntimeBuilder {
         self.suspend = Some(policy);
         self
@@ -380,7 +384,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Spawn the workers and hand back the runtime.
+    /// Spawn the workers and hand back the runtime. Panics if `shards` is
+    /// 0.
     pub fn build<S: Sink + Send + 'static>(self) -> Runtime<S> {
         Runtime::build(self)
     }
@@ -509,50 +514,6 @@ fn default_tracer() -> Option<Arc<dyn Tracer>> {
 const SESSION_WEIGHT: usize = 4096;
 
 impl<S: Sink + Send + 'static> Runtime<S> {
-    /// A runtime with `shards` worker threads and no shared budget.
-    pub fn new(shards: usize) -> Runtime<S> {
-        RuntimeBuilder::new(shards).build()
-    }
-
-    /// Full configuration surface — budget, suspend policy, metrics
-    /// registry, tracer — as a builder.
-    pub fn builder(shards: usize) -> RuntimeBuilder {
-        RuntimeBuilder::new(shards)
-    }
-
-    /// A runtime with `shards` worker threads whose sessions all charge
-    /// the given [`AdmissionController`].
-    pub fn with_admission(shards: usize, admission: AdmissionController) -> Runtime<S> {
-        Runtime::with_budget(shards, admission.hook())
-    }
-
-    /// A runtime charging an arbitrary [`BudgetHook`] — the seam for
-    /// wrapping an [`AdmissionController`] with counting or logging
-    /// decoration. The hook must deliver budget-release wakeups
-    /// ([`BudgetHook::subscribe_waker`]) if it ever pauses sessions;
-    /// wrapping hooks should forward all five trait methods to the inner
-    /// controller.
-    pub fn with_budget(shards: usize, budget: Arc<dyn BudgetHook>) -> Runtime<S> {
-        RuntimeBuilder::new(shards).budget(budget).build()
-    }
-
-    /// A runtime that spills idle sessions to disk per `policy`.
-    pub fn with_suspend(shards: usize, policy: SuspendPolicy) -> Runtime<S> {
-        RuntimeBuilder::new(shards).suspend(policy).build()
-    }
-
-    /// Budget and suspend policy combined: the spill releases a parked
-    /// session's budget charges, so suspension is also a pressure valve —
-    /// idle sessions hand their headroom to active ones and reclaim it
-    /// (through the gate) when they wake.
-    pub fn with_budget_and_suspend(
-        shards: usize,
-        budget: Arc<dyn BudgetHook>,
-        policy: SuspendPolicy,
-    ) -> Runtime<S> {
-        RuntimeBuilder::new(shards).budget(budget).suspend(policy).build()
-    }
-
     fn build(cfg: RuntimeBuilder) -> Runtime<S> {
         let RuntimeBuilder { shards, budget, suspend, metrics, tracer, notifier } = cfg;
         assert!(shards > 0, "a Runtime needs at least one shard");
@@ -2040,7 +2001,7 @@ mod tests {
         let docs: Vec<String> = (0..N).map(doc).collect();
         let refs: Vec<String> = docs.iter().map(|d| q.run_str(d).unwrap().output).collect();
 
-        let mut rt = Runtime::new(3);
+        let mut rt = RuntimeBuilder::new(3).build();
         let ids: Vec<RuntimeId> = (0..N).map(|_| rt.open(&q, StringSink::new())).collect();
         // Chunked, interleaved feeding across all sessions.
         for step in 0..8 {
@@ -2077,7 +2038,7 @@ mod tests {
     fn placement_is_least_loaded() {
         let engine = Engine::builder().dtd_str(DTD).build().unwrap();
         let q = engine.prepare(QUERY).unwrap();
-        let mut rt = Runtime::new(4);
+        let mut rt = RuntimeBuilder::new(4).build();
         let _ids: Vec<RuntimeId> = (0..12).map(|_| rt.open(&q, StringSink::new())).collect();
         let counts = rt.session_counts();
         assert_eq!(counts.iter().sum::<usize>(), 12);
@@ -2089,7 +2050,7 @@ mod tests {
     fn slots_are_reused_and_stale_ids_panic() {
         let engine = Engine::builder().dtd_str(DTD).build().unwrap();
         let q = engine.prepare(QUERY).unwrap();
-        let mut rt = Runtime::new(2);
+        let mut rt = RuntimeBuilder::new(2).build();
         let a = rt.open(&q, StringSink::new());
         rt.feed(a, doc(0).as_bytes());
         rt.finish(a);
@@ -2116,7 +2077,7 @@ mod tests {
     fn failed_sessions_report_their_cause_at_finish() {
         let engine = Engine::builder().dtd_str(DTD).build().unwrap();
         let q = engine.prepare(QUERY).unwrap();
-        let mut rt = Runtime::new(2);
+        let mut rt = RuntimeBuilder::new(2).build();
         let bad = rt.open(&q, StringSink::new());
         rt.feed(bad, b"<bib><zzz/>"); // schema violation, fails inline
         rt.feed(bad, b"<book>"); // feed-after-error: absorbed, not fatal
@@ -2145,7 +2106,7 @@ mod tests {
         let d = doc(7);
         let reference = q.run_str(&d).unwrap();
 
-        let mut rt = Runtime::new(2);
+        let mut rt = RuntimeBuilder::new(2).build();
         let id = rt.open_shared(&set, (0..3).map(|_| StringSink::new()).collect());
         // A plain session rides alongside on the same runtime.
         let single = rt.open(&q, StringSink::new());
@@ -2204,7 +2165,7 @@ mod tests {
         let reference = q.run_str(&d).unwrap().output;
         let bytes = d.as_bytes();
 
-        let mut rt = Runtime::new(2);
+        let mut rt = RuntimeBuilder::new(2).build();
         let single = rt.open(&q, StringSink::new());
         let shared = rt.open_shared(&set, (0..2).map(|_| StringSink::new()).collect());
         rt.feed(single, &bytes[..bytes.len() / 2]);
@@ -2260,10 +2221,9 @@ mod tests {
         let reference = q.run_str(&d).unwrap().output;
         let bytes = d.as_bytes();
 
-        let mut rt = Runtime::with_suspend(
-            1,
-            SuspendPolicy { idle_after: Duration::from_millis(20), dir: dir.clone() },
-        );
+        let mut rt = RuntimeBuilder::new(1)
+            .suspend(SuspendPolicy { idle_after: Duration::from_millis(20), dir: dir.clone() })
+            .build();
         let id = rt.open(&q, StringSink::new());
         rt.feed(id, &bytes[..bytes.len() / 2]);
         match rt.wait_event().expect("workers alive") {
@@ -2301,10 +2261,9 @@ mod tests {
         let reference = q.run_str(&d).unwrap().output;
         let bytes = d.as_bytes();
 
-        let mut rt = Runtime::with_suspend(
-            2,
-            SuspendPolicy { idle_after: Duration::from_secs(3600), dir: dir.clone() },
-        );
+        let mut rt = RuntimeBuilder::new(2)
+            .suspend(SuspendPolicy { idle_after: Duration::from_secs(3600), dir: dir.clone() })
+            .build();
         let id = rt.open(&q, StringSink::new());
         rt.feed(id, &bytes[..bytes.len() / 2]);
         rt.suspend(id);
@@ -2351,7 +2310,7 @@ mod tests {
                  <result> {$b/author} {$b/title} </result> }</results>",
             )
             .unwrap();
-        let mut rt = Runtime::new(2);
+        let mut rt = RuntimeBuilder::new(2).build();
         let heavy = rt.open(&q, StringSink::new());
         let big = format!("<bib><book><title>{}</title>", "x".repeat(200 << 10));
         rt.feed(heavy, big.as_bytes());
@@ -2466,7 +2425,7 @@ mod tests {
 
     #[test]
     fn poll_events_on_an_empty_channel_allocates_nothing() {
-        let mut rt: Runtime<StringSink> = Runtime::new(1);
+        let mut rt: Runtime<StringSink> = RuntimeBuilder::new(1).build();
         assert_eq!(rt.poll_events().capacity(), 0);
         assert_eq!(rt.poll_events_stamped().capacity(), 0);
         let _ = rt.drain();
@@ -2476,7 +2435,7 @@ mod tests {
     fn drain_aborts_still_open_sessions_cleanly() {
         let engine = Engine::builder().dtd_str(DTD).build().unwrap();
         let q = engine.prepare(QUERY).unwrap();
-        let mut rt = Runtime::new(2);
+        let mut rt = RuntimeBuilder::new(2).build();
         let a = rt.open(&q, StringSink::new());
         rt.feed(a, b"<bib><book><title>mid-stream");
         // Never finished: drain drops it without an event, budget-clean.

@@ -35,9 +35,9 @@ pub struct SharedSessionId {
 /// Because sessions execute inline on `feed`, mass concurrency needs no
 /// scheduler: hold the sessions in a shard, feed whichever stream has
 /// bytes, finish whichever closed. One thread comfortably drives tens of
-/// thousands of sessions this way (see `examples/session_multiplex.rs` and
-/// the `flux-bench` `concurrency` bin); each session keeps its own sink,
-/// and the shard exposes aggregate buffer accounting. Plug in an
+/// thousands of sessions this way (see `examples/session_multiplex.rs`);
+/// each session keeps its own sink, and the shard exposes aggregate buffer
+/// accounting. Plug in an
 /// [`AdmissionController`](crate::AdmissionController) (or any
 /// [`BudgetHook`]) with [`Shard::with_budget`] and every session opened on
 /// the shard charges the shared budget — [`Shard::feed`] then reports

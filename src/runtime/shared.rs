@@ -48,7 +48,8 @@ use crate::error::FluxError;
 use crate::runtime::FeedOutcome;
 
 /// One shared incremental execution of a compiled
-/// [`SubscriptionSet`](crate::SubscriptionSet). See the [module docs](self).
+/// [`SubscriptionSet`](crate::SubscriptionSet). See the
+/// [`runtime`](crate::runtime) module docs.
 pub struct SharedSession<S: Sink> {
     reader: Reader<FeedSource>,
     driver: FanoutDriver<S>,
@@ -104,8 +105,9 @@ impl<S: Sink> SharedSession<S> {
     /// call returns. Chunks may split the XML at any byte boundary.
     ///
     /// Returns [`FluxError::SessionAborted`] once the shared input has
-    /// failed to parse (per-subscriber failures do *not* abort the
-    /// session — see the [module docs](self)).
+    /// failed to parse. Per-subscriber failures do *not* abort the
+    /// session: they surface in that subscriber's entry of
+    /// [`SharedSession::finish_parts`].
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), FluxError> {
         if self.error.is_some() {
             return Err(FluxError::SessionAborted);
@@ -119,8 +121,8 @@ impl<S: Sink> SharedSession<S> {
     /// [`Session::feed_outcome`](crate::Session::feed_outcome): while the
     /// shared budget is tight and no subscriber holds charges, the chunk
     /// is refused ([`FeedOutcome::Backpressure`]) and nothing is absorbed.
-    /// One stalled *stream* parks all its subscribers — the stream-level
-    /// stall semantics pinned in the [module docs](self).
+    /// One stalled *stream* parks all its subscribers: a single parse
+    /// cannot advance subscribers selectively.
     pub fn feed_outcome(&mut self, chunk: &[u8]) -> Result<FeedOutcome, FluxError> {
         if self.error.is_some() {
             return Err(FluxError::SessionAborted);

@@ -299,7 +299,7 @@ fn runtime_queues_refused_chunks_and_resumes_deterministically() {
 
     // One worker: the mailbox is FIFO and retries run after every command,
     // so the stall/resume sequence is fully deterministic.
-    let mut rt: Runtime<StringSink> = Runtime::with_admission(1, ctrl.clone());
+    let mut rt: Runtime<StringSink> = RuntimeBuilder::new(1).admission(ctrl.clone()).build();
     let a = rt.open(&q, StringSink::new());
     let b = rt.open(&q, StringSink::new());
     let c = rt.open(&q, StringSink::new());
@@ -356,7 +356,7 @@ fn stalled_sessions_resume_on_the_release_edge_without_a_tick() {
     assert!(ctrl.is_tight(), "the holder closes the gate");
 
     // Deterministic 1-worker runtime: its only session stalls immediately.
-    let mut rt: Runtime<StringSink> = Runtime::with_admission(1, ctrl.clone());
+    let mut rt: Runtime<StringSink> = RuntimeBuilder::new(1).admission(ctrl.clone()).build();
     let s = rt.open(&q, StringSink::new());
     rt.feed(s, hold_prefix(1000).as_bytes());
     match rt.wait_event().expect("worker alive") {
@@ -399,7 +399,7 @@ fn wrapped_hooks_deliver_wakeups_through_the_forwarded_subscription() {
     holder.feed(hold_prefix(2200).as_bytes()).unwrap();
     assert!(ctrl.is_tight());
 
-    let mut rt: Runtime<StringSink> = Runtime::with_budget(1, counting.clone());
+    let mut rt: Runtime<StringSink> = RuntimeBuilder::new(1).budget(counting.clone()).build();
     let s = rt.open(&q, StringSink::new());
     rt.feed(s, hold_prefix(1000).as_bytes());
     match rt.wait_event().expect("worker alive") {
@@ -663,7 +663,8 @@ fn unsuspending_into_a_tight_pool_stalls_and_resumes_on_the_release_edge() {
 
     let policy =
         SuspendPolicy { idle_after: std::time::Duration::from_secs(3600), dir: dir.clone() };
-    let mut rt: Runtime<StringSink> = Runtime::with_budget_and_suspend(1, counting.clone(), policy);
+    let mut rt: Runtime<StringSink> =
+        RuntimeBuilder::new(1).budget(counting.clone()).suspend(policy).build();
     let s = rt.open(&q, StringSink::new());
     rt.feed(s, hold_prefix(1000).as_bytes());
     rt.suspend(s);

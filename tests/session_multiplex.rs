@@ -160,7 +160,7 @@ fn runtime_spreads_the_fleet_across_worker_threads() {
     let docs: Vec<String> = (0..N).map(doc).collect();
     let references: Vec<RunOutcome> = docs.iter().map(|d| q.run_str(d).unwrap()).collect();
 
-    let mut rt = Runtime::new(4);
+    let mut rt = RuntimeBuilder::new(4).build();
     let ids: Vec<RuntimeId> = (0..N).map(|_| rt.open(&q, StringSink::new())).collect();
     let by_id: HashMap<RuntimeId, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
 

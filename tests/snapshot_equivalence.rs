@@ -305,7 +305,7 @@ fn cross_shard_migration_is_equivalent_at_every_offset() {
     // with the session, so the full output lands in one place.
     let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
     let (doc, _) = generate_string(&XmarkConfig::new(1 << 10));
-    let mut rt = Runtime::new(2);
+    let mut rt = RuntimeBuilder::new(2).build();
     for q in PAPER_QUERIES {
         let prepared = engine.prepare(q.source).unwrap();
         let reference = prepared.run_str(&doc).unwrap();

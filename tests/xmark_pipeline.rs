@@ -159,7 +159,7 @@ fn memory_cap_reproduces_the_aborted_cells() {
 
 #[test]
 fn weak_dtd_forces_buffering_where_strong_streams() {
-    // The dtd_ablation bench's assertion, as a test: without order
+    // The strong-vs-weak DTD ablation as a test: without order
     // constraints Q1 can no longer stream.
     let weak = Engine::new(Dtd::parse(flux_bench_weak_dtd()).unwrap());
     let strong = Engine::new(Dtd::parse(XMARK_DTD).unwrap());
